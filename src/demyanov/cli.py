@@ -22,6 +22,7 @@ from .errors import (
     DegenerateSectorError,
     EmptyInputError,
     FanInvariantError,
+    GenerationFailedError,
     ParseError,
 )
 from .familyio import parse_family, serialize_family
@@ -41,6 +42,25 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _int_at_least(minimum: int):
+    """argparse type for integers no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -69,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iterate", help="iterate until the first repeated collection")
     _add_input_flags(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--dump-dir", metavar="DIR", help="write every iterate as a document")
     p.set_defaults(handler=_cmd_iterate)
 
@@ -82,12 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_render)
 
     p = sub.add_parser("search", help="survey cycle lengths over seeded random families")
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--instances", type=_positive_int, default=100)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-polytopes", type=int, default=3)
-    p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--coord-bound", type=int, default=3)
+    p.add_argument("--num-polytopes", type=_positive_int, default=3)
+    p.add_argument("--max-vertices", type=_positive_int, default=4)
+    p.add_argument("--coord-bound", type=_non_negative_int, default=3)
     p.set_defaults(handler=_cmd_search)
 
     return parser
@@ -176,7 +196,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return EX_USAGE
     try:
         return args.handler(args)
-    except (ParseError, EmptyInputError) as exc:
+    except (ParseError, EmptyInputError, GenerationFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except OSError as exc:

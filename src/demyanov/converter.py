@@ -11,6 +11,17 @@ sectors (the common refinement of the members' normal fans) on which the
 image is constant. Evaluating one witness direction per cell enumerates
 the whole image set; rays must be evaluated too because they frequently
 produce polytopes that no open sector yields.
+
+Every image, over fan cells or over sampled directions, comes from one
+integer kernel. It indexes the family's distinct vertices once, in
+lexicographic order, and lifts each to homogeneous integers (X, Y, W)
+with W > 0 the lcm of that vertex's own two denominators (W = 1 on
+lattice input), so <v, g> = (X a + Y b) / W for g = (a, b). A member's
+exposed face is found by comparing these values through cross-multiplying
+with W, exact because every W is positive; no Fraction arithmetic and no
+float enter the loop. The union of the members' faces is an int bitmask
+over the vertex index, and each distinct mask is hulled once, its points
+passed in index order, which is already sorted.
 """
 
 from __future__ import annotations
@@ -18,13 +29,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import DegenerateSectorError, EmptyInputError, FanInvariantError
-from .geometry import Direction, Point, Polytope, convex_hull, reflect_y
+from .geometry import Direction, Point, Polytope, _lex_key, _lift, convex_hull, reflect_y
 
 
 def _member_key(polytope: Polytope) -> tuple:
@@ -108,22 +118,20 @@ def edge_normals(polytope: Polytope) -> frozenset[Direction]:
     These are exactly the directions whose exposed face is an edge. A
     point has none; a segment is orthogonal to two opposite normals.
     """
-    verts = polytope.vertices
+    verts = [_lift(v) for v in polytope.vertices]
     if len(verts) == 1:
         return frozenset()
     if len(verts) == 2:
-        normal = _integer_direction(verts[1].y - verts[0].y, verts[0].x - verts[1].x)
+        normal = _edge_normal(verts[0], verts[1])
         return frozenset((normal, normal.opposite()))
-    normals = []
-    for i, v in enumerate(verts):
-        w = verts[(i + 1) % len(verts)]
-        normals.append(_integer_direction(w.y - v.y, v.x - w.x))
-    return frozenset(normals)
+    return frozenset(_edge_normal(v, verts[(i + 1) % len(verts)]) for i, v in enumerate(verts))
 
 
-def _integer_direction(x: Fraction, y: Fraction) -> Direction:
-    scale = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    return Direction(int(x * scale), int(y * scale))
+def _edge_normal(p: tuple[int, int, int], q: tuple[int, int, int]) -> Direction:
+    # (q - p) turned a quarter turn clockwise, scaled by W_p * W_q > 0.
+    px, py, pw = p
+    qx, qy, qw = q
+    return Direction(qy * pw - py * qw, px * qw - qx * pw)
 
 
 def _half_plane(d: Direction) -> int:
@@ -188,41 +196,51 @@ def test_directions(omega: Collection) -> list[FanCell]:
     return cells
 
 
-def _attaining_vertices(omega: Collection, g: Direction) -> list[Point]:
-    # Union of every member's argmax vertex set; no hull needed per member
-    # because a subset of points in convex position stays in convex position.
-    points: list[Point] = []
-    for member in omega.members:
-        best = None
-        face: list[Point] = []
-        for v in member.vertices:
-            value = v.x * g.a + v.y * g.b
-            if best is None or value > best:
-                best = value
-                face = [v]
-            elif value == best:
-                face.append(v)
-        points.extend(face)
-    return points
-
-
 def converter_image(omega: Collection, g: Direction) -> Polytope:
     """conv of the union of every member's exposed face in direction g."""
-    return convex_hull(_attaining_vertices(omega, g))
+    return _collect_images(omega, (g,)).members[0]
 
 
 def _collect_images(omega: Collection, directions: Iterable[Direction]) -> Collection:
+    # The exact integer kernel (see the module docstring). Index the
+    # distinct vertices once, lexicographically, as lifted ints; a member
+    # becomes the list of its vertices' indices, an attaining set a bitmask.
+    lifted: dict[tuple[int, int, int], Point] = {}
+    member_lifts = []
+    for member in omega.members:
+        lifts = [_lift(v) for v in member.vertices]
+        lifted.update(zip(lifts, member.vertices))
+        member_lifts.append(lifts)
+    pairs = sorted(lifted.items(), key=_lex_key)
+    points = [v for _, v in pairs]
+    coords = [q for q, _ in pairs]
+    weights = [w for _, _, w in coords]
+    bits = [1 << i for i in range(len(coords))]
+    index = {q: i for i, q in enumerate(coords)}
+    members = [[index[q] for q in lifts] for lifts in member_lifts]
     # Distinct directions often share one attaining set; hull it only once.
-    cache: dict[frozenset[Point], Polytope] = {}
-    members = []
+    cache: dict[int, Polytope] = {}
     for g in directions:
-        attaining = frozenset(_attaining_vertices(omega, g))
-        hull = cache.get(attaining)
-        if hull is None:
-            hull = convex_hull(attaining)
-            cache[attaining] = hull
-        members.append(hull)
-    return Collection.of(members)
+        a, b = g.a, g.b
+        values = [x * a + y * b for x, y, _ in coords]
+        attaining = 0
+        for member in members:
+            vertices = iter(member)
+            i = next(vertices)
+            top, w, face = values[i], weights[i], bits[i]
+            for i in vertices:
+                # Sign of values[i]/weights[i] - top/w, both weights positive.
+                d = values[i] * w - top * weights[i]
+                if d > 0:
+                    top, w, face = values[i], weights[i], bits[i]
+                elif d == 0:
+                    face |= bits[i]
+            attaining |= face
+        if attaining not in cache:
+            cache[attaining] = convex_hull(
+                [p for p, bit in zip(points, bits) if attaining & bit]
+            )
+    return Collection.of(cache.values())
 
 
 def demyanov_convert(omega: Collection) -> Collection:

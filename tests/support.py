@@ -6,6 +6,9 @@ argmax vertex set was enumerated and the hull of their union taken. They
 are frozen here as an oracle independent of the fan-cell machinery.
 """
 
+import random
+from fractions import Fraction
+
 from demyanov import Collection, Direction, Point, convex_hull
 
 
@@ -193,3 +196,49 @@ ARGMAX_TABLES = (
 
 def direction(pair):
     return Direction(pair[0], pair[1])
+
+
+def reference_hull_vertices(points):
+    """Extreme points in canonical order, by a monotone chain on Fraction
+    coordinates.
+
+    A test-only reference for the library's integer hull: it sorts and
+    deduplicates the points by their Fraction values and orients by the
+    Fraction cross product, sharing no arithmetic with the library.
+    """
+
+    def turn(p, q, r):
+        return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+
+    pts = sorted(set(points), key=lambda p: (p.x, p.y))
+    if len(pts) == 1:
+        return (pts[0],)
+    lower = []
+    for p in pts:
+        while len(lower) > 1 and turn(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) > 1 and turn(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return tuple(lower[:-1] + upper[:-1])
+
+
+def wide_denominator_points(count, seed=0):
+    """count points in [-10, 10]^2 whose 2 * count coordinates have
+    pairwise distinct denominators of about 31 bits.
+
+    A common denominator of all of them would have about 31 * 2 * count
+    bits, so any hull that scales the whole input by one lcm slows to a
+    crawl on them.
+    """
+    rng = random.Random(seed)
+    denominators = iter(rng.sample(range(2**30 + 1, 2**31, 2), 2 * count))
+
+    def coordinate():
+        q = next(denominators)
+        return Fraction(rng.randrange(-10 * q, 10 * q), q)
+
+    return [Point(coordinate(), coordinate()) for _ in range(count)]

@@ -120,3 +120,23 @@ def test_malformed_document_maps_to_data_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "convert", "--in", str(bad))
     assert code == EX_DATAERR
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected, message",
+    [
+        (("iterate", "--builtin", "--cap", "0"), EX_USAGE, "--cap"),
+        (("search", "--instances", "0"), EX_USAGE, "--instances"),
+        (("search", "--coord-bound", "-1"), EX_USAGE, "--coord-bound"),
+        (
+            ("search", "--num-polytopes", "50", "--max-vertices", "1", "--coord-bound", "0"),
+            EX_DATAERR,
+            "could not generate 50 distinct polytopes",
+        ),
+    ],
+)
+def test_out_of_range_arguments_map_to_documented_exit_codes(capsys, argv, expected, message):
+    code, _, err = run(capsys, *argv)
+    assert code == expected
+    assert message in err
+    assert "Traceback" not in err

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import demyanov as dm
 from demyanov import (
@@ -8,9 +10,11 @@ from demyanov import (
     Collection,
     Direction,
     collection_digest,
+    convex_hull,
     converter_image,
     demyanov_convert,
     edge_normals,
+    exposed_face,
     fan_rays,
     reflect_collection,
     representative_bound,
@@ -19,7 +23,11 @@ from demyanov import (
 )
 from demyanov.errors import DegenerateSectorError, EmptyInputError, FanInvariantError
 
-from support import OMEGA0, OMEGA1, P1, P4, TABLE_OMEGA0, coll, direction, poly, vertex_set
+from support import OMEGA0, OMEGA1, P1, P4, TABLE_OMEGA0, coll, direction, poly, pt, vertex_set
+
+coords_st = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+members_st = st.lists(st.builds(pt, coords_st, coords_st), min_size=1, max_size=5).map(convex_hull)
+rational_families_st = st.lists(members_st, min_size=1, max_size=4).map(Collection.of)
 
 
 def small_family(seed):
@@ -175,6 +183,19 @@ def test_sampled_convert_of_point_family():
     assert sampled_convert(omega, 5) == omega
     with pytest.raises(ValueError):
         sampled_convert(omega, 0)
+
+
+@given(rational_families_st)
+def test_converter_image_is_hull_of_exposed_faces(omega):
+    # exposed_face evaluates <v, g> on Fractions, apart from the kernel.
+    images = []
+    for cell in dm.test_directions(omega):
+        g = cell.representative
+        faces = [v for member in omega for v in exposed_face(member, g).vertices]
+        image = converter_image(omega, g)
+        assert image == convex_hull(faces)
+        images.append(image)
+    assert demyanov_convert(omega) == Collection.of(images)
 
 
 def test_vertex_containment_invariant():

@@ -1,5 +1,7 @@
-import pytest
+import time
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, strategies as st
 
 from demyanov import (
@@ -14,10 +16,25 @@ from demyanov import (
 )
 from demyanov.errors import EmptyInputError
 
-from support import poly, pt, vertex_set
+from support import poly, pt, reference_hull_vertices, vertex_set, wide_denominator_points
 
-points_st = st.builds(pt, st.integers(-5, 5), st.integers(-5, 5))
+# p/q coordinates with small denominators, so equal and collinear points
+# still turn up often.
+coords_st = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 4))
+points_st = st.builds(pt, coords_st, coords_st)
 point_lists_st = st.lists(points_st, min_size=1, max_size=12)
+# Single points, doubled points and collinear runs, shuffled together.
+chunks_st = st.one_of(
+    points_st.map(lambda p: [p]),
+    points_st.map(lambda p: [p, p]),
+    st.builds(
+        lambda p, dx, dy, n: [pt(p.x + k * dx, p.y + k * dy) for k in range(n)],
+        points_st, coords_st, coords_st, st.integers(2, 5),
+    ),
+)
+hull_inputs_st = st.lists(chunks_st, min_size=1, max_size=6).flatmap(
+    lambda chunks: st.permutations([p for chunk in chunks for p in chunk])
+)
 directions_st = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
     lambda ab: ab != (0, 0)
 ).map(lambda ab: Direction(*ab))
@@ -89,6 +106,19 @@ def test_direction_canonicalises_to_primitive():
     assert Direction(-4, -6) == Direction(-2, -3)
     with pytest.raises(ValueError):
         Direction(0, 0)
+
+
+@given(hull_inputs_st)
+def test_convex_hull_matches_fraction_reference(points):
+    assert convex_hull(points).vertices == reference_hull_vertices(points)
+
+
+def test_convex_hull_cost_is_bounded_on_large_denominators():
+    points = wide_denominator_points(3000)
+    started = time.perf_counter()
+    hull = convex_hull(points)
+    assert time.perf_counter() - started < 5
+    assert hull.vertices == reference_hull_vertices(points)
 
 
 @given(point_lists_st)

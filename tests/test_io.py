@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from demyanov import builtin_counterexample, parse_family, serialize_family
 from demyanov.errors import EmptyInputError, ParseError
 
-from support import coll, poly
+from support import coll, poly, wide_denominator_points
 
 BUILTIN_TEXT = (
     '{"version":"1","polytopes":[[["-2","0"],["2","0"]],'
@@ -100,3 +101,12 @@ def test_parse_rejects_malformed_documents(doc):
 def test_round_trip_preserves_fractions():
     omega = coll((("1/2", "1/3"), ("5/2", "0"), ("1/2", "7/3")))
     assert parse_family(serialize_family(omega)) == omega
+
+
+def test_parse_cost_is_bounded_on_large_denominators():
+    points = wide_denominator_points(3000)
+    text = json.dumps({"version": "1", "polytopes": [[[str(p.x), str(p.y)] for p in points]]})
+    started = time.perf_counter()
+    omega = parse_family(text)
+    assert time.perf_counter() - started < 5
+    assert set(omega.members[0].vertices) <= set(points)
