@@ -8,22 +8,13 @@ Demyanov-Ryabova conjecture that two always suffices.
 """
 
 from .converter import (
-    CellKind,
     Collection,
-    FanCell,
     collection_digest,
     converter_image,
     demyanov_convert,
-    edge_normals,
-    fan_rays,
-    reflect_collection,
-    representative_bound,
     sampled_convert,
-    sector_representative,
-    test_directions,
 )
 from .dynamics import (
-    DEFAULT_CAP,
     ClaimVerdict,
     CycleResult,
     FamilyParams,
@@ -37,7 +28,6 @@ from .dynamics import (
 from .errors import (
     CapExceededError,
     ClaimViolatedError,
-    DegenerateSectorError,
     DemyanovError,
     EmptyInputError,
     FanInvariantError,
@@ -45,64 +35,39 @@ from .errors import (
     ParseError,
 )
 from .familyio import parse_family, serialize_family
-from .geometry import (
-    Direction,
-    Point,
-    Polytope,
-    Rational,
-    convex_hull,
-    exposed_face,
-    orient,
-    reflect_y,
-    support_value,
-)
-from .render import RenderSpec, render_svg
+from .geometry import Direction, Point, Polytope, convex_hull, exposed_face
+from .render import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError",
-    "CellKind",
     "ClaimVerdict",
     "ClaimViolatedError",
     "Collection",
     "CycleResult",
-    "DEFAULT_CAP",
-    "DegenerateSectorError",
     "DemyanovError",
     "Direction",
     "EmptyInputError",
     "FamilyParams",
-    "FanCell",
     "FanInvariantError",
     "GenerationFailedError",
     "ParseError",
     "Point",
     "Polytope",
-    "Rational",
-    "RenderSpec",
     "SearchReport",
     "builtin_counterexample",
     "collection_digest",
     "converter_image",
     "convex_hull",
     "demyanov_convert",
-    "edge_normals",
     "exposed_face",
-    "fan_rays",
     "iterate_until_cycle",
-    "orient",
     "parse_family",
     "random_family",
-    "reflect_collection",
-    "reflect_y",
     "render_svg",
-    "representative_bound",
     "sampled_convert",
     "search_cycles",
-    "sector_representative",
     "serialize_family",
-    "support_value",
-    "test_directions",
     "verify_claim",
 ]

@@ -19,7 +19,6 @@ from .dynamics import (
 from .errors import (
     CapExceededError,
     ClaimViolatedError,
-    DegenerateSectorError,
     EmptyInputError,
     FanInvariantError,
     GenerationFailedError,
@@ -116,7 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_family(args):
     if getattr(args, "builtin", False):
         return builtin_counterexample()
-    return parse_family(Path(args.infile).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.infile).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.infile}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return parse_family(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -151,15 +154,14 @@ def _cmd_iterate(args) -> int:
 
 def _cmd_verify_claim(args) -> int:
     try:
-        verdict = verify_claim()
+        verdict, failed = verify_claim(), ()
     except ClaimViolatedError as exc:
-        if exc.verdict is not None:
-            for name, ok in exc.verdict.assertions:
-                print(f"{'PASS' if ok else 'FAIL'} {name}")
-        print(f"claim violated: {', '.join(exc.failed)}", file=sys.stderr)
-        return EX_SOFTWARE
-    for name, ok in verdict.assertions:
+        verdict, failed = exc.verdict, exc.failed
+    for name, ok in verdict.assertions if verdict is not None else ():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
+    if failed:
+        print(f"claim violated: {', '.join(failed)}", file=sys.stderr)
+        return EX_SOFTWARE
     print(f"N={verdict.preperiod} L={verdict.cycle_length}")
     return EX_OK
 
@@ -202,7 +204,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_NOINPUT
-    except (CapExceededError, ClaimViolatedError, FanInvariantError, DegenerateSectorError) as exc:
+    except (CapExceededError, ClaimViolatedError, FanInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_SOFTWARE
 

@@ -33,7 +33,7 @@ from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import DegenerateSectorError, EmptyInputError, FanInvariantError
+from .errors import EmptyInputError, FanInvariantError
 from .geometry import Direction, Point, Polytope, _lex_key, _lift, convex_hull, reflect_y
 
 
@@ -72,9 +72,6 @@ class Collection:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, polytope: Polytope) -> bool:
-        return polytope in self.members
-
 
 class CellKind(Enum):
     RAY = "ray"
@@ -91,25 +88,14 @@ class FanCell:
 
     bounds holds the delimiting rays: one direction for a RAY cell, the
     counterclockwise (start, end) pair for a SECTOR cell, and nothing for
-    the all-directions sector of a fan with no rays at all. A sector
-    representative must sit strictly inside its open sector, which two
-    strict cross-product tests verify at construction.
+    the all-directions sector of a fan with no rays at all. A sector's
+    representative comes from sector_representative, so it sits strictly
+    inside the open sector.
     """
 
     kind: CellKind
     bounds: tuple[Direction, ...]
     representative: Direction
-
-    def __post_init__(self) -> None:
-        if self.kind is CellKind.RAY:
-            if len(self.bounds) != 1 or self.representative != self.bounds[0]:
-                raise FanInvariantError("a ray cell is represented by its own direction")
-        elif self.bounds:
-            if len(self.bounds) != 2:
-                raise FanInvariantError("a sector cell needs a (start, end) bound pair")
-            start, end = self.bounds
-            if _cross(start, self.representative) <= 0 or _cross(self.representative, end) <= 0:
-                raise FanInvariantError("sector representative is not strictly interior")
 
 
 def edge_normals(polytope: Polytope) -> frozenset[Direction]:
@@ -164,11 +150,12 @@ def sector_representative(start: Direction, end: Direction) -> Direction:
 
     For a sector narrower than a half turn this is the reduced vector sum
     of the bounds; for an exact half turn (end opposite to start) it is
-    start rotated a quarter turn counterclockwise. Anything wider means
-    the bounds were not consecutive fan rays, which is a caller bug.
+    start rotated a quarter turn counterclockwise. Equal bounds or
+    anything wider mean the bounds were not consecutive fan rays, a caller
+    bug reported as FanInvariantError.
     """
     if start == end:
-        raise DegenerateSectorError(f"empty sector at {start}")
+        raise FanInvariantError(f"empty sector at {start}")
     a, b = start.a + end.a, start.b + end.b
     if a == 0 and b == 0:
         return start.rotated_ccw()

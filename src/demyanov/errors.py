@@ -11,10 +11,6 @@ class EmptyInputError(DemyanovError):
     """An operation that needs at least one point or polytope got none."""
 
 
-class DegenerateSectorError(DemyanovError):
-    """A fan sector was requested between two equal rays."""
-
-
 class FanInvariantError(DemyanovError):
     """An internal fan-structure assumption was broken."""
 

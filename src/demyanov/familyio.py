@@ -25,10 +25,14 @@ def _parse_rational(raw, where: str) -> Fraction:
         raise ParseError(f"{where}: coordinate must be a string, got {type(raw).__name__}")
     if not _RATIONAL_RE.match(raw):
         raise ParseError(f"{where}: {raw!r} is not an integer or p/q rational literal")
-    value = raw.split("/")
-    if len(value) == 2 and int(value[1]) == 0:
-        raise ParseError(f"{where}: zero denominator in {raw!r}")
-    return Fraction(raw)
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ParseError(f"{where}: zero denominator in {raw!r}") from None
+    except ValueError:
+        # The literal is well formed, so only the interpreter's limit on
+        # integer digits can reject it.
+        raise ParseError(f"{where}: literal exceeds the integer digit limit") from None
 
 
 def parse_family(text: str) -> Collection:
@@ -41,6 +45,10 @@ def parse_family(text: str) -> Collection:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except ValueError:
+        raise ParseError("invalid JSON: number literal exceeds the digit limit") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     version = doc.get("version")

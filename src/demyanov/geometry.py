@@ -28,10 +28,6 @@ from typing import Iterable
 
 from .errors import EmptyInputError
 
-# The only scalar type used in geometry. Fraction already guarantees a
-# reduced numerator over a positive denominator.
-Rational = Fraction
-
 
 def _as_rational(value) -> Fraction:
     if isinstance(value, float):
@@ -43,8 +39,8 @@ def _as_rational(value) -> Fraction:
 class Point:
     """A point of the plane with exact rational coordinates."""
 
-    x: Rational
-    y: Rational
+    x: Fraction
+    y: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", _as_rational(self.x))
@@ -167,15 +163,6 @@ class Polytope:
         if verts != _hull_vertices(verts):
             raise ValueError("vertices are not in canonical convex position")
 
-    @property
-    def dim(self) -> int:
-        """0 for a point, 1 for a segment, 2 for a polygon."""
-        if len(self.vertices) == 1:
-            return 0
-        if len(self.vertices) == 2:
-            return 1
-        return 2
-
 
 def convex_hull(points: Iterable[Point]) -> Polytope:
     """The canonical polytope spanned by the given points.
@@ -186,7 +173,7 @@ def convex_hull(points: Iterable[Point]) -> Polytope:
     return Polytope(_hull_vertices(points))
 
 
-def support_value(polytope: Polytope, g: Direction) -> Rational:
+def support_value(polytope: Polytope, g: Direction) -> Fraction:
     """Largest inner product <v, g> over the polytope."""
     return max(v.x * g.a + v.y * g.b for v in polytope.vertices)
 

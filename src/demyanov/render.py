@@ -1,14 +1,15 @@
 """Deterministic SVG rendering of collections as a grid of panels.
 
 One panel per member in canonical order, all panels sharing the bounding
-box of the whole collection so shapes stay comparable across panels.
-Coordinates are computed in exact rationals and formatted with a fixed
-rule, so identical inputs yield byte-identical output everywhere.
+box of the whole collection so shapes stay comparable across panels. The
+layout is fixed: 160 px square panels with a 16 px margin, 4 panels per
+row, and member i drawn in PALETTE[i % 6]. Coordinates are computed in
+exact rationals and formatted with a fixed rule, so identical inputs
+yield byte-identical output everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .converter import Collection
@@ -22,17 +23,9 @@ PALETTE = (
     ("#fcbba1", "#cb181d"),
     ("#d9d9d9", "#525252"),
 )
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    """Canvas geometry and styling for render_svg."""
-
-    panel_size: int = 160
-    margin: int = 16
-    per_row: int = 4
-    style_indices: tuple[int, ...] = ()
-    palette: tuple[tuple[str, str], ...] = PALETTE
+PANEL_SIZE = 160
+MARGIN = 16
+PER_ROW = 4
 
 
 def _fmt(value: Fraction) -> str:
@@ -48,30 +41,24 @@ def _fmt(value: Fraction) -> str:
     return f"{sign}{whole}.{f'{frac:04d}'.rstrip('0')}"
 
 
-def render_svg(omega: Collection, spec: RenderSpec | None = None) -> str:
+def render_svg(omega: Collection) -> str:
     """Render each member of the collection into its own panel."""
-    spec = spec or RenderSpec()
-    if spec.panel_size <= 2 * spec.margin:
-        raise ValueError("panel_size must exceed twice the margin")
-    if spec.per_row < 1:
-        raise ValueError("per_row must be at least 1")
-
     xs = [v.x for member in omega.members for v in member.vertices]
     ys = [v.y for member in omega.members for v in member.vertices]
     min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
     width_units = max_x - min_x
     height_units = max_y - min_y
     span = max(width_units, height_units)
-    inner = Fraction(spec.panel_size - 2 * spec.margin)
+    inner = Fraction(PANEL_SIZE - 2 * MARGIN)
     scale = inner / span if span > 0 else Fraction(1)
     pad_x = (inner - width_units * scale) / 2
     pad_y = (inner - height_units * scale) / 2
 
     count = len(omega.members)
-    cols = min(count, spec.per_row)
-    rows = (count + spec.per_row - 1) // spec.per_row
-    canvas_w = cols * spec.panel_size
-    canvas_h = rows * spec.panel_size
+    cols = min(count, PER_ROW)
+    rows = (count + PER_ROW - 1) // PER_ROW
+    canvas_w = cols * PANEL_SIZE
+    canvas_h = rows * PANEL_SIZE
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -79,20 +66,19 @@ def render_svg(omega: Collection, spec: RenderSpec | None = None) -> str:
         f'viewBox="0 0 {canvas_w} {canvas_h}">',
     ]
     for i, member in enumerate(omega.members):
-        panel_x = (i % spec.per_row) * spec.panel_size
-        panel_y = (i // spec.per_row) * spec.panel_size
-        origin_x = panel_x + spec.margin + pad_x
-        origin_y = panel_y + spec.margin + pad_y
+        panel_x = (i % PER_ROW) * PANEL_SIZE
+        panel_y = (i // PER_ROW) * PANEL_SIZE
+        origin_x = panel_x + MARGIN + pad_x
+        origin_y = panel_y + MARGIN + pad_y
 
         def to_canvas(v: Point) -> tuple[Fraction, Fraction]:
             return (origin_x + (v.x - min_x) * scale, origin_y + (max_y - v.y) * scale)
 
-        style = spec.style_indices[i] if i < len(spec.style_indices) else i
-        fill, stroke = spec.palette[style % len(spec.palette)]
+        fill, stroke = PALETTE[i % len(PALETTE)]
         lines.append('<g class="panel">')
         lines.append(
-            f'<rect x="{panel_x}" y="{panel_y}" width="{spec.panel_size}" '
-            f'height="{spec.panel_size}" fill="#ffffff" stroke="#cccccc" stroke-width="1"/>'
+            f'<rect x="{panel_x}" y="{panel_y}" width="{PANEL_SIZE}" '
+            f'height="{PANEL_SIZE}" fill="#ffffff" stroke="#cccccc" stroke-width="1"/>'
         )
         points = [to_canvas(v) for v in member.vertices]
         if len(points) == 1:

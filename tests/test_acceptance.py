@@ -19,13 +19,13 @@ from demyanov import (
     iterate_until_cycle,
     parse_family,
     random_family,
-    reflect_collection,
     render_svg,
-    representative_bound,
     sampled_convert,
     serialize_family,
 )
 from demyanov.cli import EX_OK, cli_dispatch
+from demyanov.converter import reflect_collection, representative_bound
+from demyanov.geometry import reflect_y
 
 from support import (
     ARGMAX_TABLES,
@@ -166,7 +166,7 @@ def test_criterion_8_symmetry_equivariance(builtin_orbit):
         r = random.Random(31_000 + i)
         base = random_family(r.randint(1, 3), 4, 3, seed=32_000 + i)
         symmetric = Collection.of(
-            list(base.members) + [dm.reflect_y(m) for m in base.members]
+            list(base.members) + [reflect_y(m) for m in base.members]
         )
         result = iterate_until_cycle(symmetric, 10_000)
         for omega in result.trajectory:

@@ -1,6 +1,15 @@
+import sys
+
 import pytest
 
-from demyanov import builtin_counterexample, demyanov_convert, parse_family, serialize_family
+from demyanov import (
+    ClaimVerdict,
+    ClaimViolatedError,
+    builtin_counterexample,
+    demyanov_convert,
+    parse_family,
+    serialize_family,
+)
 from demyanov.cli import EX_DATAERR, EX_NOINPUT, EX_OK, EX_SOFTWARE, EX_USAGE, cli_dispatch
 
 
@@ -114,12 +123,57 @@ def test_missing_input_file_maps_to_file_exit_code(tmp_path, capsys):
     assert code == EX_NOINPUT
 
 
-def test_malformed_document_maps_to_data_exit_code(tmp_path, capsys):
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_needs_digit_limit = pytest.mark.skipif(
+    not _DIGIT_LIMIT, reason="interpreter has no limit on integer digits"
+)
+_LONG = "1" * (_DIGIT_LIMIT + 1)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b'{"version":"1","polytopes":[[["0.5","0"]]]}', id="float-literal"),
+        pytest.param(
+            f'{{"version":"1","polytopes":[[["{_LONG}","0"]]]}}'.encode(),
+            id="long-numerator",
+            marks=_needs_digit_limit,
+        ),
+        pytest.param(
+            f'{{"version":"1","polytopes":[[["1/{_LONG}","0"]]]}}'.encode(),
+            id="long-denominator",
+            marks=_needs_digit_limit,
+        ),
+        pytest.param(
+            f'{{"version":"1","polytopes":[[[{_LONG},"0"]]]}}'.encode(),
+            id="long-json-number",
+            marks=_needs_digit_limit,
+        ),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, id="deep-nesting"),
+        pytest.param(b'{"version":"1","polytopes":[[["\xff","0"]]]}', id="not-utf8"),
+    ],
+)
+def test_malformed_document_maps_to_data_exit_code(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"version":"1","polytopes":[[["0.5","0"]]]}')
+    bad.write_bytes(content)
     code, _, err = run(capsys, "convert", "--in", str(bad))
     assert code == EX_DATAERR
     assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_verify_claim_failure_prints_verdict_and_exits_70(monkeypatch, capsys):
+    verdict = ClaimVerdict((), (("holds", True), ("breaks", False)), 1, 2)
+
+    def failing_claim():
+        raise ClaimViolatedError(("breaks",), verdict)
+
+    monkeypatch.setattr("demyanov.cli.verify_claim", failing_claim)
+    code, out, err = run(capsys, "verify-claim")
+    assert code == EX_SOFTWARE
+    assert out == "PASS holds\nFAIL breaks\n"
+    assert "N=" not in out
+    assert "claim violated: breaks" in err
 
 
 @pytest.mark.parametrize(

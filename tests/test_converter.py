@@ -6,22 +6,26 @@ from hypothesis import given, strategies as st
 
 import demyanov as dm
 from demyanov import (
-    CellKind,
     Collection,
     Direction,
     collection_digest,
     convex_hull,
     converter_image,
     demyanov_convert,
-    edge_normals,
     exposed_face,
+    sampled_convert,
+)
+from demyanov import converter
+from demyanov.converter import (
+    CellKind,
+    edge_normals,
     fan_rays,
     reflect_collection,
     representative_bound,
-    sampled_convert,
     sector_representative,
 )
-from demyanov.errors import DegenerateSectorError, EmptyInputError, FanInvariantError
+from demyanov.errors import EmptyInputError, FanInvariantError
+from demyanov.geometry import reflect_y
 
 from support import OMEGA0, OMEGA1, P1, P4, TABLE_OMEGA0, coll, direction, poly, pt, vertex_set
 
@@ -102,21 +106,21 @@ def test_sector_representative_examples():
 
 
 def test_sector_representative_rejects_degenerate_and_reflex():
-    with pytest.raises(DegenerateSectorError):
+    with pytest.raises(FanInvariantError):
         sector_representative(Direction(1, 0), Direction(2, 0))
     with pytest.raises(FanInvariantError):
         sector_representative(Direction(1, 0), Direction(0, -1))
 
 
 def test_test_directions_cell_counts():
-    cells = dm.test_directions(coll(*OMEGA0))
+    cells = converter.test_directions(coll(*OMEGA0))
     assert len(cells) == 16
     assert sum(1 for c in cells if c.kind is CellKind.RAY) == 8
     assert sum(1 for c in cells if c.kind is CellKind.SECTOR) == 8
 
 
 def test_test_directions_of_point_family_is_single_sector():
-    cells = dm.test_directions(coll(((0, 0),), ((1, 1),)))
+    cells = converter.test_directions(coll(((0, 0),), ((1, 1),)))
     assert len(cells) == 1
     assert cells[0].kind is CellKind.SECTOR
     assert cells[0].bounds == ()
@@ -124,7 +128,7 @@ def test_test_directions_of_point_family_is_single_sector():
 
 
 def test_test_directions_of_segment_family():
-    cells = dm.test_directions(coll(P4))
+    cells = converter.test_directions(coll(P4))
     rays = {c.representative for c in cells if c.kind is CellKind.RAY}
     sectors = {c.representative for c in cells if c.kind is CellKind.SECTOR}
     assert rays == {Direction(0, 1), Direction(0, -1)}
@@ -189,7 +193,7 @@ def test_sampled_convert_of_point_family():
 def test_converter_image_is_hull_of_exposed_faces(omega):
     # exposed_face evaluates <v, g> on Fractions, apart from the kernel.
     images = []
-    for cell in dm.test_directions(omega):
+    for cell in converter.test_directions(omega):
         g = cell.representative
         faces = [v for member in omega for v in exposed_face(member, g).vertices]
         image = converter_image(omega, g)
@@ -221,7 +225,7 @@ def test_sector_representative_choice_is_irrelevant():
         omega = small_family(seed)
         expected = demyanov_convert(omega)
         witnesses = []
-        for cell in dm.test_directions(omega):
+        for cell in converter.test_directions(omega):
             if cell.kind is CellKind.SECTOR and cell.bounds:
                 witnesses.append(interior_witness(cell, rng))
             else:
@@ -233,7 +237,7 @@ def test_sector_representative_choice_is_irrelevant():
 def test_image_constant_inside_each_sector():
     rng = random.Random(555)
     omega = coll(*OMEGA0)
-    for cell in dm.test_directions(omega):
+    for cell in converter.test_directions(omega):
         if cell.kind is not CellKind.SECTOR:
             continue
         reference = converter_image(omega, cell.representative)
@@ -249,7 +253,7 @@ def test_symmetry_equivariance():
     for seed in range(20):
         base = small_family(seed)
         symmetric = Collection.of(
-            list(base.members) + [dm.reflect_y(m) for m in base.members]
+            list(base.members) + [reflect_y(m) for m in base.members]
         )
         converted = demyanov_convert(symmetric)
         assert reflect_collection(converted) == converted

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-import demyanov as dm
 from demyanov import (
     Collection,
     Direction,
@@ -17,6 +16,7 @@ from demyanov import (
     search_cycles,
     verify_claim,
 )
+from demyanov.converter import reflect_collection
 from demyanov.errors import CapExceededError, GenerationFailedError
 
 from support import OMEGA0, OMEGA1, OMEGA2, OMEGA3, OMEGA4, coll, poly
@@ -28,7 +28,7 @@ def test_builtin_counterexample_members():
     assert len(omega) == 4
     with_origin = [m for m in omega if Point(0, 0) in m.vertices]
     assert with_origin == [poly((1, 2), (-1, 2), (0, 0))]
-    assert dm.reflect_collection(omega) == omega
+    assert reflect_collection(omega) == omega
 
 
 def test_builtin_orbit_reaches_length_four_cycle():

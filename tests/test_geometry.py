@@ -4,17 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from demyanov import (
-    Direction,
-    Point,
-    Polytope,
-    convex_hull,
-    exposed_face,
-    orient,
-    reflect_y,
-    support_value,
-)
+from demyanov import Direction, Point, Polytope, convex_hull, exposed_face
 from demyanov.errors import EmptyInputError
+from demyanov.geometry import orient, reflect_y, support_value
 
 from support import poly, pt, reference_hull_vertices, vertex_set, wide_denominator_points
 

@@ -1,0 +1,59 @@
+import re
+from pathlib import Path
+
+import demyanov
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_NAMES = [
+    "CapExceededError",
+    "ClaimVerdict",
+    "ClaimViolatedError",
+    "Collection",
+    "CycleResult",
+    "DemyanovError",
+    "Direction",
+    "EmptyInputError",
+    "FamilyParams",
+    "FanInvariantError",
+    "GenerationFailedError",
+    "ParseError",
+    "Point",
+    "Polytope",
+    "SearchReport",
+    "builtin_counterexample",
+    "collection_digest",
+    "converter_image",
+    "convex_hull",
+    "demyanov_convert",
+    "exposed_face",
+    "iterate_until_cycle",
+    "parse_family",
+    "random_family",
+    "render_svg",
+    "sampled_convert",
+    "search_cycles",
+    "serialize_family",
+    "verify_claim",
+]
+
+
+def test_all_lists_exactly_the_public_names():
+    assert sorted(demyanov.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in demyanov.__all__:
+        assert getattr(demyanov, name) is not None, name
+
+
+def test_no_public_name_is_collected_as_a_test():
+    # A star import of the package must never hand pytest a library function.
+    assert not [name for name in demyanov.__all__ if name.startswith("test")]
+
+
+def test_readme_quickstart_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README quickstart", "exec"), {})
+    assert capsys.readouterr().out == "1 4\n"

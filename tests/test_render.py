@@ -1,6 +1,5 @@
-import pytest
-
-from demyanov import RenderSpec, builtin_counterexample, demyanov_convert, render_svg
+from demyanov import builtin_counterexample, demyanov_convert, render_svg
+from demyanov.render import PALETTE
 
 from support import coll
 
@@ -32,23 +31,17 @@ def test_render_is_deterministic():
 
 
 def test_render_layout_follows_spec():
-    spec = RenderSpec(panel_size=100, margin=10, per_row=3)
-    svg = render_svg(builtin_counterexample(), spec)
-    assert 'width="300" height="200"' in svg
-    assert 'viewBox="0 0 300 200"' in svg
+    # The layout is fixed: 160 px panels, four to a row.
+    svg = render_svg(builtin_counterexample())
+    assert 'width="640" height="160"' in svg
+    assert 'viewBox="0 0 640 160"' in svg
+    svg = render_svg(demyanov_convert(builtin_counterexample()))
+    assert 'width="640" height="480"' in svg
+    assert 'viewBox="0 0 640 480"' in svg
 
 
 def test_render_style_indices_select_palette_entries():
-    spec = RenderSpec(style_indices=(1, 1, 1, 1))
-    svg = render_svg(builtin_counterexample(), spec)
-    fill, stroke = spec.palette[1]
-    assert svg.count(f'stroke="{stroke}"') == 4
-    other_fill, other_stroke = spec.palette[0]
-    assert f'stroke="{other_stroke}"' not in svg
-
-
-def test_render_rejects_bad_spec():
-    with pytest.raises(ValueError):
-        render_svg(builtin_counterexample(), RenderSpec(panel_size=20, margin=10))
-    with pytest.raises(ValueError):
-        render_svg(builtin_counterexample(), RenderSpec(per_row=0))
+    # Member i is drawn in PALETTE[i % 6], so twelve members use each stroke twice.
+    svg = render_svg(demyanov_convert(builtin_counterexample()))
+    for _, stroke in PALETTE:
+        assert svg.count(f'stroke="{stroke}"') == 2
