@@ -43,8 +43,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(minimum: int):
-    """argparse type for integers no smaller than minimum."""
+def _int_in_range(minimum: int, maximum: int | None = None):
+    """argparse type for integers from minimum up to maximum, if given."""
 
     def parse(text: str) -> int:
         try:
@@ -53,13 +53,24 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
+_positive_int = _int_in_range(1)
+_non_negative_int = _int_in_range(0)
+
+# A family draws up to MAX_VERTICES points in each of 64 * MAX_POLYTOPES tries.
+MAX_INSTANCES = 1_000_000
+MAX_POLYTOPES = 100
+MAX_VERTICES = 100
+
+
+def _up_to(maximum: int) -> dict:
+    return {"type": _int_in_range(1, maximum), "help": f"1 to {maximum}"}
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -101,11 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_render)
 
     p = sub.add_parser("search", help="survey cycle lengths over seeded random families")
-    p.add_argument("--instances", type=_positive_int, default=100)
+    p.add_argument("--instances", default=100, **_up_to(MAX_INSTANCES))
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-polytopes", type=_positive_int, default=3)
-    p.add_argument("--max-vertices", type=_positive_int, default=4)
+    p.add_argument("--num-polytopes", default=3, **_up_to(MAX_POLYTOPES))
+    p.add_argument("--max-vertices", default=4, **_up_to(MAX_VERTICES))
     p.add_argument("--coord-bound", type=_non_negative_int, default=3)
     p.set_defaults(handler=_cmd_search)
 

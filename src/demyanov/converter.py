@@ -12,33 +12,39 @@ image is constant. Evaluating one witness direction per cell enumerates
 the whole image set; rays must be evaluated too because they frequently
 produce polytopes that no open sector yields.
 
-Every image, over fan cells or over sampled directions, comes from one
-integer kernel. It indexes the family's distinct vertices once, in
-lexicographic order, and lifts each to homogeneous integers (X, Y, W)
-with W > 0 the lcm of that vertex's own two denominators (W = 1 on
-lattice input), so <v, g> = (X a + Y b) / W for g = (a, b). A member's
-exposed face is found by comparing these values through cross-multiplying
-with W, exact because every W is positive; no Fraction arithmetic and no
-float enter the loop. The union of the members' faces is an int bitmask
-over the vertex index, and each distinct mask is hulled once, its points
-passed in index order, which is already sorted.
+Both routes below index the family's distinct vertices once, in
+lexicographic order, and read the integer lift (X, Y, W), W > 0, that each
+Point made when built, so <v, g> = (X a + Y b) / W for g = (a, b). An
+attaining set is an int bitmask over the index; each distinct one is
+hulled once, on points already sorted. No Fraction or float is involved.
+
+demyanov_convert sweeps the fan once: a member whose edge (v_i, v_{i+1})
+has the current ray as outward normal exposes v_i just before the ray,
+the edge on it and v_{i+1} after it, and every other member keeps its
+face. Counting per vertex the members whose face it is keeps the union's
+mask, so a step costs time linear in cells plus member vertices.
+sampled_convert and converter_image instead score every member vertex at
+each direction, comparing values by cross-multiplying with W; sharing
+none of the sweep, sampled_convert checks demyanov_convert.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
+from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import EmptyInputError, FanInvariantError
-from .geometry import Direction, Point, Polytope, _lex_key, _lift, convex_hull, reflect_y
+from .geometry import Direction, Point, Polytope, _sort_key, convex_hull, reflect_y
 
 
 def _member_key(polytope: Polytope) -> tuple:
-    return tuple((v.x, v.y) for v in polytope.vertices)
+    return tuple(v._key for v in polytope.vertices)
 
 
 @dataclass(frozen=True)
@@ -104,20 +110,24 @@ def edge_normals(polytope: Polytope) -> frozenset[Direction]:
     These are exactly the directions whose exposed face is an edge. A
     point has none; a segment is orthogonal to two opposite normals.
     """
-    verts = [_lift(v) for v in polytope.vertices]
-    if len(verts) == 1:
-        return frozenset()
-    if len(verts) == 2:
-        normal = _edge_normal(verts[0], verts[1])
-        return frozenset((normal, normal.opposite()))
-    return frozenset(_edge_normal(v, verts[(i + 1) % len(verts)]) for i, v in enumerate(verts))
+    lifts = [v._lift for v in polytope.vertices]
+    return frozenset(Direction(*_edge_normal(p, q)) for p, q in _edges(lifts))
 
 
-def _edge_normal(p: tuple[int, int, int], q: tuple[int, int, int]) -> Direction:
-    # (q - p) turned a quarter turn clockwise, scaled by W_p * W_q > 0.
+def _edges(cycle: list) -> list[tuple]:
+    # The cyclic pairs (v_i, v_{i+1}) of a canonical vertex list: a
+    # segment's one edge runs both ways, a point has none.
+    return list(zip(cycle, cycle[1:] + cycle[:1])) if len(cycle) > 1 else []
+
+
+def _edge_normal(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int]:
+    # (q - p) turned a quarter turn clockwise, scaled by W_p * W_q > 0,
+    # then made primitive: the outward normal of edge p -> q as (a, b).
     px, py, pw = p
     qx, qy, qw = q
-    return Direction(qy * pw - py * qw, px * qw - qx * pw)
+    a, b = qy * pw - py * qw, px * qw - qx * pw
+    g = gcd(a, b)
+    return a // g, b // g
 
 
 def _half_plane(d: Direction) -> int:
@@ -188,25 +198,28 @@ def converter_image(omega: Collection, g: Direction) -> Polytope:
     return _collect_images(omega, (g,)).members[0]
 
 
+def _vertex_index(omega: Collection) -> tuple[list[Point], list[list[int]]]:
+    # The distinct vertices in lexicographic order; members as index lists.
+    lifted = {v._lift: v for member in omega.members for v in member.vertices}
+    points = sorted(lifted.values(), key=_sort_key)
+    index = {p._lift: i for i, p in enumerate(points)}
+    return points, [[index[v._lift] for v in member.vertices] for member in omega.members]
+
+
+def _images(points: list[Point], masks: Iterable[int]) -> Collection:
+    # Distinct cells often share one attaining set; hull each only once.
+    return Collection.of(
+        convex_hull([p for i, p in enumerate(points) if mask >> i & 1])
+        for mask in dict.fromkeys(masks)
+    )
+
+
 def _collect_images(omega: Collection, directions: Iterable[Direction]) -> Collection:
-    # The exact integer kernel (see the module docstring). Index the
-    # distinct vertices once, lexicographically, as lifted ints; a member
-    # becomes the list of its vertices' indices, an attaining set a bitmask.
-    lifted: dict[tuple[int, int, int], Point] = {}
-    member_lifts = []
-    for member in omega.members:
-        lifts = [_lift(v) for v in member.vertices]
-        lifted.update(zip(lifts, member.vertices))
-        member_lifts.append(lifts)
-    pairs = sorted(lifted.items(), key=_lex_key)
-    points = [v for _, v in pairs]
-    coords = [q for q, _ in pairs]
+    # Brute force: every member vertex scored at every direction.
+    points, members = _vertex_index(omega)
+    coords = [p._lift for p in points]
     weights = [w for _, _, w in coords]
-    bits = [1 << i for i in range(len(coords))]
-    index = {q: i for i, q in enumerate(coords)}
-    members = [[index[q] for q in lifts] for lifts in member_lifts]
-    # Distinct directions often share one attaining set; hull it only once.
-    cache: dict[int, Polytope] = {}
+    masks = []
     for g in directions:
         a, b = g.a, g.b
         values = [x * a + y * b for x, y, _ in coords]
@@ -214,26 +227,53 @@ def _collect_images(omega: Collection, directions: Iterable[Direction]) -> Colle
         for member in members:
             vertices = iter(member)
             i = next(vertices)
-            top, w, face = values[i], weights[i], bits[i]
+            top, w, face = values[i], weights[i], 1 << i
             for i in vertices:
                 # Sign of values[i]/weights[i] - top/w, both weights positive.
                 d = values[i] * w - top * weights[i]
                 if d > 0:
-                    top, w, face = values[i], weights[i], bits[i]
+                    top, w, face = values[i], weights[i], 1 << i
                 elif d == 0:
-                    face |= bits[i]
+                    face |= 1 << i
             attaining |= face
-        if attaining not in cache:
-            cache[attaining] = convex_hull(
-                [p for p, bit in zip(points, bits) if attaining & bit]
-            )
-    return Collection.of(cache.values())
+        masks.append(attaining)
+    return _images(points, masks)
 
 
 def demyanov_convert(omega: Collection) -> Collection:
     """One application of the converter: the set of images over all
-    nonzero directions, computed by exact cell enumeration."""
-    return _collect_images(omega, (cell.representative for cell in test_directions(omega)))
+    nonzero directions, computed by one sweep of the fan cells."""
+    cells = test_directions(omega)
+    points, members = _vertex_index(omega)
+    # Each ray, as (a, b), maps to the member edges (m, i, j) normal to it.
+    on_ray: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for m, member in enumerate(members):
+        for i, j in _edges(member):
+            normal = _edge_normal(points[i]._lift, points[j]._lift)
+            on_ray.setdefault(normal, []).append((m, i, j))
+    rays = [on_ray[g.a, g.b] for g in (c.representative for c in cells if c.kind is CellKind.RAY)]
+    # Past the normal of its edge (v_i, v_j) a member's face is v_j, so one
+    # pass over the rays leaves each member at its face before the first.
+    face = [member[0] for member in members]
+    for m, _, j in chain.from_iterable(rays):
+        face[m] = j
+    count = Counter(face)  # vertex index -> members whose face it is
+    mask = sum(1 << i for i in count)
+    masks = []
+    ray_edges = iter(rays)
+    for cell in cells:
+        if cell.kind is CellKind.SECTOR:
+            masks.append(mask)
+            continue
+        before, edges = mask, next(ray_edges)
+        for _, i, j in edges:
+            count[i] -= 1
+            count[j] += 1
+        for _, i, j in edges:
+            mask = (mask if count[i] else mask & ~(1 << i)) | 1 << j
+        # On the ray each member with an edge there exposes both faces.
+        masks.append(before | mask)
+    return _images(points, masks)
 
 
 def sampled_convert(omega: Collection, bound: int) -> Collection:

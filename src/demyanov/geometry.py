@@ -16,35 +16,55 @@ W1*W2*W3), gives exactly the rational answer. No float is ever used. The
 lift is per point, never over a common denominator, so its cost grows
 with each point's own size and cannot be blown up by the rest of the
 input.
+
+Each Point makes its lift once, when it is built, and a key for equality,
+hashing and lexicographic order: (x, y) with ints where the denominator is
+1, so lattice points never compare Fractions (the hash is unchanged).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import EmptyInputError
 
 
 def _as_rational(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("float coordinates are not supported; pass int, str or Fraction")
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A point of the plane with exact rational coordinates."""
 
     x: Fraction
     y: Fraction
+    _lift: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _as_rational(self.x))
-        object.__setattr__(self, "y", _as_rational(self.y))
+        x, y = _as_rational(self.x), _as_rational(self.y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        xn, xd = x.numerator, x.denominator
+        yn, yd = y.numerator, y.denominator
+        w = xd * yd // gcd(xd, yd)
+        object.__setattr__(self, "_lift", (xn * (w // xd), yn * (w // yd), w))
+        object.__setattr__(self, "_key", (xn if xd == 1 else x, yn if yd == 1 else y))
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is Point else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
 
 @dataclass(frozen=True)
@@ -77,14 +97,6 @@ class Direction:
         return Direction(-self.a, -self.b)
 
 
-def _lift(p: Point) -> tuple[int, int, int]:
-    """p as homogeneous integers (X, Y, W), W > 0 the lcm of p's denominators."""
-    xn, xd = p.x.as_integer_ratio()
-    yn, yd = p.y.as_integer_ratio()
-    w = xd * yd // gcd(xd, yd)
-    return xn * (w // xd), yn * (w // yd), w
-
-
 def _turn(p: tuple[int, int, int], q: tuple[int, int, int], r: tuple[int, int, int]) -> int:
     # The 3x3 determinant of the rows (X, Y, W): the cross product
     # (q - p) x (r - p) times the positive W_p * W_q * W_r.
@@ -94,15 +106,8 @@ def _turn(p: tuple[int, int, int], q: tuple[int, int, int], r: tuple[int, int, i
     return px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx)
 
 
-def _lex_cmp(a: tuple, b: tuple) -> int:
-    # Lexicographic (x, y) order of two (lift, point) pairs.
-    (ax, ay, aw), (bx, by, bw) = a[0], b[0]
-    d = ax * bw - bx * aw or ay * bw - by * aw
-    return (d > 0) - (d < 0)
-
-
-# Sort key for (lift, point) pairs, in lexicographic order of the points.
-_lex_key = cmp_to_key(_lex_cmp)
+# Lexicographic order of points.
+_sort_key = attrgetter("_key")
 
 
 def orient(p: Point, q: Point, r: Point) -> int:
@@ -110,7 +115,7 @@ def orient(p: Point, q: Point, r: Point) -> int:
 
     +1 for a counterclockwise turn, -1 for clockwise, 0 for collinear.
     """
-    turn = _turn(_lift(p), _lift(q), _lift(r))
+    turn = _turn(p._lift, q._lift, r._lift)
     return (turn > 0) - (turn < 0)
 
 
@@ -118,30 +123,41 @@ def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
     """Extreme points in canonical order (monotone chain on lifted ints).
 
     Canonical order is counterclockwise starting at the lexicographically
-    smallest vertex; collinear interior points and duplicates are dropped.
-    A lift is unique to its point, so duplicates are equal sorted
-    neighbours.
+    smallest vertex; collinear interior points and duplicates (equal
+    lifts) are dropped.
     """
-    pairs = sorted(((_lift(p), p) for p in points), key=_lex_key)
-    if not pairs:
+    pts = sorted({p._lift: p for p in points}.values(), key=_sort_key)
+    if not pts:
         raise EmptyInputError("convex hull of an empty point set")
-    pts = [pairs[0]]
-    for pair in pairs[1:]:
-        if pair[0] != pts[-1][0]:
-            pts.append(pair)
     if len(pts) == 1:
-        return (pts[0][1],)
-    lower: list[tuple] = []
+        return (pts[0],)
+    return tuple(_chain(pts) + _chain(reversed(pts)))
+
+
+def _chain(pts: Iterable[Point]) -> list[Point]:
+    # One monotone chain, without its last point (the next chain's first).
+    chain: list[Point] = []
     for p in pts:
-        while len(lower) > 1 and _turn(lower[-2][0], lower[-1][0], p[0]) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple] = []
-    for p in reversed(pts):
-        while len(upper) > 1 and _turn(upper[-2][0], upper[-1][0], p[0]) <= 0:
-            upper.pop()
-        upper.append(p)
-    return tuple(p for _, p in lower[:-1] + upper[:-1])
+        while len(chain) > 1 and _turn(chain[-2]._lift, chain[-1]._lift, p._lift) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain[:-1]
+
+
+def _is_canonical(verts: tuple[Point, ...]) -> bool:
+    # verts == _hull_vertices(verts) in one pass: one point, two in strict
+    # lexicographic order, or a cycle rising in that order from verts[0] to
+    # one peak and falling back, turning strictly left (so never repeating).
+    if len(verts) < 3:
+        return len(verts) == 1 or verts[0]._key < verts[1]._key
+    keys = [v._key for v in verts]
+    rises = [a < b for a, b in zip(keys, keys[1:] + keys[:1])]
+    lifts = [v._lift for v in verts]
+    return (
+        rises[0]
+        and sum(a != b for a, b in zip(rises, rises[1:])) == 1
+        and all(_turn(lifts[j - 2], lifts[j - 1], lifts[j]) > 0 for j in range(len(verts)))
+    )
 
 
 @dataclass(frozen=True)
@@ -160,7 +176,9 @@ class Polytope:
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
-        if verts != _hull_vertices(verts):
+        if not verts:
+            raise EmptyInputError("a polytope needs at least one vertex")
+        if not _is_canonical(verts):
             raise ValueError("vertices are not in canonical convex position")
 
 

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -10,7 +11,17 @@ from demyanov import (
     parse_family,
     serialize_family,
 )
-from demyanov.cli import EX_DATAERR, EX_NOINPUT, EX_OK, EX_SOFTWARE, EX_USAGE, cli_dispatch
+from demyanov.cli import (
+    EX_DATAERR,
+    EX_NOINPUT,
+    EX_OK,
+    EX_SOFTWARE,
+    EX_USAGE,
+    MAX_INSTANCES,
+    MAX_POLYTOPES,
+    MAX_VERTICES,
+    cli_dispatch,
+)
 
 
 def run(capsys, *argv):
@@ -194,3 +205,29 @@ def test_out_of_range_arguments_map_to_documented_exit_codes(capsys, argv, expec
     assert code == expected
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, maximum",
+    [
+        ("--instances", MAX_INSTANCES),
+        ("--num-polytopes", MAX_POLYTOPES),
+        ("--max-vertices", MAX_VERTICES),
+    ],
+)
+def test_search_size_flags_have_documented_maxima(monkeypatch, capsys, flag, maximum):
+    # Over the maximum is a usage error before any family is generated.
+    def no_generation(*args):
+        raise AssertionError("a family was generated")
+
+    monkeypatch.setattr("demyanov.dynamics.random_family", no_generation)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "search", flag, "123456789")
+    assert time.perf_counter() - started < 1
+    assert code == EX_USAGE
+    assert f"must be at most {maximum}" in err
+    assert "Traceback" not in err
+    assert out == ""
+    code, _, err = run(capsys, "search", flag, str(maximum + 1))
+    assert code == EX_USAGE
+    assert f"must be at most {maximum}" in err

@@ -34,6 +34,32 @@ members_st = st.lists(st.builds(pt, coords_st, coords_st), min_size=1, max_size=
 rational_families_st = st.lists(members_st, min_size=1, max_size=4).map(Collection.of)
 
 
+# Families mixing points, segments and polygons on p/q coordinates, where
+# a member may come with a translated copy of itself or of its first edge,
+# which shares that member's edge normals.
+small_coords_st = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+small_points_st = st.builds(pt, small_coords_st, small_coords_st)
+shapes_st = st.one_of(
+    small_points_st.map(lambda p: convex_hull([p])),
+    st.lists(small_points_st, min_size=2, max_size=2, unique=True).map(convex_hull),
+    st.lists(small_points_st, min_size=3, max_size=5).map(convex_hull),
+)
+copies_st = st.none() | st.tuples(small_coords_st, small_coords_st, st.booleans())
+
+
+def with_copy(member, copy):
+    if copy is None:
+        return [member]
+    dx, dy, edge_only = copy
+    verts = member.vertices[:2] if edge_only else member.vertices
+    return [member, convex_hull(pt(v.x + dx, v.y + dy) for v in verts)]
+
+
+mixed_families_st = st.lists(st.tuples(shapes_st, copies_st), min_size=1, max_size=4).map(
+    lambda rows: Collection.of(m for member, copy in rows for m in with_copy(member, copy))
+)
+
+
 def small_family(seed):
     r = random.Random(seed)
     return dm.random_family(r.randint(1, 4), 4, 3, seed=seed + 7919)
@@ -200,6 +226,29 @@ def test_converter_image_is_hull_of_exposed_faces(omega):
         assert image == convex_hull(faces)
         images.append(image)
     assert demyanov_convert(omega) == Collection.of(images)
+
+
+def assert_three_routes_agree(omega):
+    # The fan sweep, the sampled oracle and the brute-force image at every
+    # fan-cell representative.
+    swept = demyanov_convert(omega)
+    assert swept == sampled_convert(omega, representative_bound(omega))
+    assert swept == Collection.of(
+        converter_image(omega, cell.representative) for cell in converter.test_directions(omega)
+    )
+
+
+@given(mixed_families_st)
+def test_fan_sweep_matches_brute_force_routes(omega):
+    assert_three_routes_agree(omega)
+
+
+def test_fan_sweep_of_rayless_family_matches_brute_force_routes():
+    omega = coll(((0, 0),), (("1/2", "-1/3"),), ((2, 1),), ((-1, "3/2"),))
+    assert_three_routes_agree(omega)
+    assert demyanov_convert(omega) == Collection.of(
+        [convex_hull(v for member in omega for v in member.vertices)]
+    )
 
 
 def test_vertex_containment_invariant():

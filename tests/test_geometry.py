@@ -1,8 +1,10 @@
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from demyanov import Direction, Point, Polytope, convex_hull, exposed_face
 from demyanov.errors import EmptyInputError
@@ -26,6 +28,61 @@ chunks_st = st.one_of(
 )
 hull_inputs_st = st.lists(chunks_st, min_size=1, max_size=6).flatmap(
     lambda chunks: st.permutations([p for chunk in chunks for p in chunk])
+)
+# Canonical vertex tuples: hull outputs, and points in convex position (on
+# a parabola, so that every one of them is a vertex).
+hulls_st = hull_inputs_st.map(reference_hull_vertices)
+
+
+def on_parabola(ks):
+    return reference_hull_vertices([pt(Fraction(k, 2), Fraction(k * k, 3)) for k in ks])
+
+
+def convex_position_st(sizes):
+    return (
+        st.sampled_from(sizes)
+        .flatmap(lambda n: st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))
+        .map(on_parabola)
+    )
+
+
+polygons_st = st.one_of(hulls_st, convex_position_st([3, 4, 5, 6]))
+
+
+def star_orderings(verts):
+    # Every vertex visited once, stepping s > 1 places at a time: a
+    # pentagram for s = 2 on five vertices. Six vertices admit none.
+    n = len(verts)
+    return [
+        tuple(verts[(i * s) % n] for i in range(n)) for s in range(2, n - 1) if gcd(s, n) == 1
+    ]
+
+
+def rotations(verts):
+    return st.integers(0, len(verts) - 1).map(lambda k: verts[k:] + verts[:k])
+
+
+def with_edge_midpoint(verts):
+    # The midpoint of one edge inserted between its ends: a collinear
+    # vertex, or a duplicate on a single point.
+    n = len(verts)
+
+    def insert(k):
+        p, q = verts[k], verts[(k + 1) % n]
+        return verts[: k + 1] + (pt((p.x + q.x) / 2, (p.y + q.y) / 2),) + verts[k + 1 :]
+
+    return st.integers(0, n - 1).map(insert)
+
+
+vertex_tuples_st = st.one_of(
+    hull_inputs_st.map(tuple),
+    polygons_st,
+    polygons_st.flatmap(st.permutations).map(tuple),
+    polygons_st.flatmap(rotations),
+    polygons_st.map(lambda h: h[::-1]),
+    polygons_st.map(lambda h: h + h),
+    polygons_st.flatmap(with_edge_midpoint),
+    convex_position_st([5, 7, 8, 9]).flatmap(lambda h: st.sampled_from(star_orderings(h))),
 )
 directions_st = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
     lambda ab: ab != (0, 0)
@@ -90,6 +147,23 @@ def test_polytope_rejects_non_canonical_vertex_order():
 def test_point_rejects_floats():
     with pytest.raises(TypeError):
         Point(0.5, 1)
+    with pytest.raises(TypeError):
+        Point(1, 0.5)
+
+
+def test_point_value_semantics():
+    assert Point(Fraction(4, 2), "1") == Point(2, 1)
+    assert Point("1/2", 0) == Point(Fraction(2, 4), Fraction(0))
+    assert Point(1, 2) != Point(2, 1)
+    assert hash(Point(2, 1)) == hash((Fraction(2), Fraction(1)))
+    assert hash(Point("-1/2", 3)) == hash((Fraction(-1, 2), Fraction(3)))
+    assert repr(Point(2, 1)) == "Point(x=Fraction(2, 1), y=Fraction(1, 1))"
+    assert repr(Point("-1/2", 3)) == "Point(x=Fraction(-1, 2), y=Fraction(3, 1))"
+    half = Fraction(1, 2)
+    assert Point(half, 0).x is half
+    p = Point(2, 1)
+    with pytest.raises(FrozenInstanceError):
+        p.x = Fraction(3)
 
 
 def test_direction_canonicalises_to_primitive():
@@ -98,6 +172,19 @@ def test_direction_canonicalises_to_primitive():
     assert Direction(-4, -6) == Direction(-2, -3)
     with pytest.raises(ValueError):
         Direction(0, 0)
+
+
+@given(vertex_tuples_st)
+# A collinear vertex on the closing edge, the one turn that wraps around.
+@example((pt(0, 0), pt(2, 0), pt(2, 2), pt(1, 1)))
+def test_polytope_accepts_exactly_the_hull_output(vertices):
+    canonical = vertices == reference_hull_vertices(vertices)
+    try:
+        Polytope(vertices)
+    except ValueError:
+        assert not canonical
+    else:
+        assert canonical
 
 
 @given(hull_inputs_st)
