@@ -18,11 +18,14 @@ Point made when built, so <v, g> = (X a + Y b) / W for g = (a, b). An
 attaining set is an int bitmask over the index; each distinct one is
 hulled once, on points already sorted. No Fraction or float is involved.
 
-demyanov_convert sweeps the fan once: a member whose edge (v_i, v_{i+1})
-has the current ray as outward normal exposes v_i just before the ray,
-the edge on it and v_{i+1} after it, and every other member keeps its
-face. Counting per vertex the members whose face it is keeps the union's
-mask, so a step costs time linear in cells plus member vertices.
+test_directions computes each member edge's outward normal once and lists,
+on each ray cell, the member edges normal to that ray. demyanov_convert
+sweeps the fan once, reading those lists: a member whose edge
+(v_i, v_{i+1}) has the current ray as outward normal exposes v_i just
+before the ray, the edge on it and v_{i+1} after it, and every other
+member keeps its face. Counting per vertex the members whose face it is
+keeps the union's mask, so a step costs time linear in cells plus member
+vertices.
 sampled_convert and converter_image instead score every member vertex at
 each direction, comparing values by cross-multiplying with W; sharing
 none of the sweep, sampled_convert checks demyanov_convert.
@@ -35,16 +38,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
-from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import EmptyInputError, FanInvariantError
 from .geometry import Direction, Point, Polytope, _sort_key, convex_hull, reflect_y
-
-
-def _member_key(polytope: Polytope) -> tuple:
-    return tuple(v._key for v in polytope.vertices)
 
 
 @dataclass(frozen=True)
@@ -64,13 +62,13 @@ class Collection:
         object.__setattr__(self, "members", members)
         if not members:
             raise EmptyInputError("a collection must contain at least one polytope")
-        keys = [_member_key(m) for m in members]
+        keys = [m._key for m in members]
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise ValueError("members must be sorted and deduplicated; use Collection.of")
 
     @classmethod
     def of(cls, polytopes: Iterable[Polytope]) -> Collection:
-        return cls(tuple(sorted(set(polytopes), key=_member_key)))
+        return cls(tuple(sorted(set(polytopes), key=_sort_key)))
 
     def __iter__(self) -> Iterator[Polytope]:
         return iter(self.members)
@@ -97,27 +95,18 @@ class FanCell:
     the all-directions sector of a fan with no rays at all. A sector's
     representative comes from sector_representative, so it sits strictly
     inside the open sector.
+
+    edges lists, on a RAY cell, the member edges (m, i, j) whose outward
+    normal is the ray: m is the member's position in omega.members and i, j
+    are positions in its vertex tuple, so the member exposes vertex i just
+    before the ray, the edge on it and vertex j just after it. A segment
+    has (m, 0, 1) on its normal n and (m, 1, 0) on -n. Sectors have none.
     """
 
     kind: CellKind
     bounds: tuple[Direction, ...]
     representative: Direction
-
-
-def edge_normals(polytope: Polytope) -> frozenset[Direction]:
-    """Outward edge normals of the polytope as primitive directions.
-
-    These are exactly the directions whose exposed face is an edge. A
-    point has none; a segment is orthogonal to two opposite normals.
-    """
-    lifts = [v._lift for v in polytope.vertices]
-    return frozenset(Direction(*_edge_normal(p, q)) for p, q in _edges(lifts))
-
-
-def _edges(cycle: list) -> list[tuple]:
-    # The cyclic pairs (v_i, v_{i+1}) of a canonical vertex list: a
-    # segment's one edge runs both ways, a point has none.
-    return list(zip(cycle, cycle[1:] + cycle[:1])) if len(cycle) > 1 else []
+    edges: tuple[tuple[int, int, int], ...] = ()
 
 
 def _edge_normal(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int]:
@@ -140,18 +129,6 @@ def _angular_cmp(d: Direction, e: Direction) -> int:
         return _half_plane(d) - _half_plane(e)
     c = _cross(d, e)
     return -1 if c > 0 else (1 if c < 0 else 0)
-
-
-def fan_rays(omega: Collection) -> list[Direction]:
-    """Union of the members' edge normals in counterclockwise angular order.
-
-    The order starts from the smallest angle in [0, 2*pi) measured from
-    (1, 0). Empty when every member is a single point.
-    """
-    rays: set[Direction] = set()
-    for member in omega.members:
-        rays |= edge_normals(member)
-    return sorted(rays, key=cmp_to_key(_angular_cmp))
 
 
 def sector_representative(start: Direction, end: Direction) -> Direction:
@@ -179,16 +156,27 @@ def test_directions(omega: Collection) -> list[FanCell]:
     """Fan cells covering every nonzero direction, one witness each.
 
     The converter image is constant on each cell, so evaluating it at the
-    representatives enumerates the full image set. A fan without rays
+    representatives enumerates the full image set. The rays, in
+    counterclockwise order from (1, 0), are the members' outward edge
+    normals; each ray cell lists the edges normal to it. A fan without rays
     collapses to a single sector with representative (1, 0).
     """
-    rays = fan_rays(omega)
-    if not rays:
+    on_ray: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for m, member in enumerate(omega.members):
+        lifts = [v._lift for v in member.vertices]
+        n = len(lifts)
+        # The cyclic edges (v_i, v_{i+1}): a segment's one edge runs both
+        # ways, a point has none.
+        for i in range(n if n > 1 else 0):
+            j = (i + 1) % n
+            on_ray.setdefault(_edge_normal(lifts[i], lifts[j]), []).append((m, i, j))
+    if not on_ray:
         return [FanCell(CellKind.SECTOR, (), Direction(1, 0))]
+    rays = sorted((Direction(a, b) for a, b in on_ray), key=cmp_to_key(_angular_cmp))
     cells: list[FanCell] = []
-    for i, ray in enumerate(rays):
-        nxt = rays[(i + 1) % len(rays)]
-        cells.append(FanCell(CellKind.RAY, (ray,), ray))
+    for k, ray in enumerate(rays):
+        nxt = rays[(k + 1) % len(rays)]
+        cells.append(FanCell(CellKind.RAY, (ray,), ray, tuple(on_ray[ray.a, ray.b])))
         cells.append(FanCell(CellKind.SECTOR, (ray, nxt), sector_representative(ray, nxt)))
     return cells
 
@@ -245,33 +233,26 @@ def demyanov_convert(omega: Collection) -> Collection:
     nonzero directions, computed by one sweep of the fan cells."""
     cells = test_directions(omega)
     points, members = _vertex_index(omega)
-    # Each ray, as (a, b), maps to the member edges (m, i, j) normal to it.
-    on_ray: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for m, member in enumerate(members):
-        for i, j in _edges(member):
-            normal = _edge_normal(points[i]._lift, points[j]._lift)
-            on_ray.setdefault(normal, []).append((m, i, j))
-    rays = [on_ray[g.a, g.b] for g in (c.representative for c in cells if c.kind is CellKind.RAY)]
+    # Each cell's member edges (m, i, j), with i and j as vertex indices.
+    steps = [[(m, members[m][i], members[m][j]) for m, i, j in c.edges] for c in cells]
     # Past the normal of its edge (v_i, v_j) a member's face is v_j, so one
-    # pass over the rays leaves each member at its face before the first.
+    # pass over the cells leaves each member at its face before the first.
     face = [member[0] for member in members]
-    for m, _, j in chain.from_iterable(rays):
-        face[m] = j
+    for edges in steps:
+        for m, _, j in edges:
+            face[m] = j
     count = Counter(face)  # vertex index -> members whose face it is
     mask = sum(1 << i for i in count)
     masks = []
-    ray_edges = iter(rays)
-    for cell in cells:
-        if cell.kind is CellKind.SECTOR:
-            masks.append(mask)
-            continue
-        before, edges = mask, next(ray_edges)
+    for edges in steps:
+        before = mask
         for _, i, j in edges:
             count[i] -= 1
             count[j] += 1
         for _, i, j in edges:
             mask = (mask if count[i] else mask & ~(1 << i)) | 1 << j
-        # On the ray each member with an edge there exposes both faces.
+        # On a ray each member with an edge there exposes both faces; a
+        # sector has no edges and keeps the mask.
         masks.append(before | mask)
     return _images(points, masks)
 

@@ -19,7 +19,9 @@ input.
 
 Each Point makes its lift once, when it is built, and a key for equality,
 hashing and lexicographic order: (x, y) with ints where the denominator is
-1, so lattice points never compare Fractions (the hash is unchanged).
+1, so lattice points never compare Fractions (the hash is unchanged). Each
+Polytope likewise stores the tuple of its vertices' keys once, which
+validation and the ordering of collections read.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _turn(p: tuple[int, int, int], q: tuple[int, int, int], r: tuple[int, int, i
     return px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx)
 
 
-# Lexicographic order of points.
+# Lexicographic order of points, and of polytopes by their vertex keys.
 _sort_key = attrgetter("_key")
 
 
@@ -144,13 +146,12 @@ def _chain(pts: Iterable[Point]) -> list[Point]:
     return chain[:-1]
 
 
-def _is_canonical(verts: tuple[Point, ...]) -> bool:
+def _is_canonical(verts: tuple[Point, ...], keys: tuple) -> bool:
     # verts == _hull_vertices(verts) in one pass: one point, two in strict
     # lexicographic order, or a cycle rising in that order from verts[0] to
     # one peak and falling back, turning strictly left (so never repeating).
     if len(verts) < 3:
-        return len(verts) == 1 or verts[0]._key < verts[1]._key
-    keys = [v._key for v in verts]
+        return len(verts) == 1 or keys[0] < keys[1]
     rises = [a < b for a, b in zip(keys, keys[1:] + keys[:1])]
     lifts = [v._lift for v in verts]
     return (
@@ -172,13 +173,16 @@ class Polytope:
     """
 
     vertices: tuple[Point, ...]
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
+        keys = tuple(v._key for v in verts)
+        object.__setattr__(self, "_key", keys)
         if not verts:
             raise EmptyInputError("a polytope needs at least one vertex")
-        if not _is_canonical(verts):
+        if not _is_canonical(verts, keys):
             raise ValueError("vertices are not in canonical convex position")
 
 

@@ -18,8 +18,6 @@ from demyanov import (
 from demyanov import converter
 from demyanov.converter import (
     CellKind,
-    edge_normals,
-    fan_rays,
     reflect_collection,
     representative_bound,
     sector_representative,
@@ -97,18 +95,23 @@ def test_collection_rejects_empty_and_unsorted():
         Collection((a, a))
 
 
+def ray_representatives(omega):
+    return [c.representative for c in converter.test_directions(omega) if c.kind is CellKind.RAY]
+
+
 def test_edge_normals_of_triangle():
-    assert edge_normals(poly(*P1)) == {Direction(0, -1), Direction(1, 0), Direction(-1, 2)}
+    rays = ray_representatives(coll(P1))
+    assert set(rays) == {Direction(0, -1), Direction(1, 0), Direction(-1, 2)}
 
 
 def test_edge_normals_of_segment_and_point():
-    assert edge_normals(poly(*P4)) == {Direction(0, 1), Direction(0, -1)}
-    assert edge_normals(poly((0, 0))) == frozenset()
+    assert set(ray_representatives(coll(P4))) == {Direction(0, 1), Direction(0, -1)}
+    assert ray_representatives(coll(((0, 0),))) == []
 
 
 def test_fan_rays_of_builtin_family_in_ccw_order():
     omega = coll(*OMEGA0)
-    assert fan_rays(omega) == [
+    assert ray_representatives(omega) == [
         Direction(1, 0),
         Direction(1, 2),
         Direction(0, 1),
@@ -121,8 +124,40 @@ def test_fan_rays_of_builtin_family_in_ccw_order():
 
 
 def test_fan_rays_of_points_and_segment():
-    assert fan_rays(coll(((0, 0),), ((1, 1),))) == []
-    assert fan_rays(coll(P4)) == [Direction(0, 1), Direction(0, -1)]
+    assert ray_representatives(coll(((0, 0),), ((1, 1),))) == []
+    assert ray_representatives(coll(P4)) == [Direction(0, 1), Direction(0, -1)]
+
+
+@given(mixed_families_st)
+def test_ray_cells_list_the_member_edges_normal_to_them(omega):
+    # exposed_face evaluates <v, g> on Fractions, apart from the int normals.
+    cells = converter.test_directions(omega)
+    listed = []
+    for k, cell in enumerate(cells):
+        if cell.kind is CellKind.SECTOR:
+            assert cell.edges == ()
+            continue
+        before, after = cells[k - 1].representative, cells[k + 1].representative
+        for m, member in enumerate(omega):
+            verts = member.vertices
+            on_ray = [(i, j) for n, i, j in cell.edges if n == m]
+            face = exposed_face(member, cell.representative).vertices
+            if len(face) == 1:
+                assert on_ray == []
+                continue
+            assert len(on_ray) == 1
+            i, j = on_ray[0]
+            assert set(face) == {verts[i], verts[j]}
+            assert exposed_face(member, before).vertices == (verts[i],)
+            assert exposed_face(member, after).vertices == (verts[j],)
+        listed += cell.edges
+    edges = [
+        (m, i, (i + 1) % len(member.vertices))
+        for m, member in enumerate(omega)
+        if len(member.vertices) > 1
+        for i in range(len(member.vertices))
+    ]
+    assert sorted(listed) == sorted(edges)
 
 
 def test_sector_representative_examples():

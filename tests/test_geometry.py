@@ -166,6 +166,18 @@ def test_point_value_semantics():
         p.x = Fraction(3)
 
 
+def test_polytope_value_semantics():
+    seg = Polytope((pt(0, 0), pt("1/2", 1)))
+    assert seg == convex_hull([pt(Fraction(2, 4), 1), pt(0, 0), pt(Fraction(1, 4), "1/2")])
+    assert hash(seg) == hash((seg.vertices,))
+    assert repr(seg) == (
+        "Polytope(vertices=(Point(x=Fraction(0, 1), y=Fraction(0, 1)), "
+        "Point(x=Fraction(1, 2), y=Fraction(1, 1))))"
+    )
+    with pytest.raises(FrozenInstanceError):
+        seg.vertices = ()
+
+
 def test_direction_canonicalises_to_primitive():
     assert Direction(2, -2) == Direction(1, -1)
     assert Direction(0, 7) == Direction(0, 1)
