@@ -42,7 +42,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import EmptyInputError, FanInvariantError
-from .geometry import Direction, Point, Polytope, _sort_key, convex_hull, reflect_y
+from .geometry import Direction, Point, Polytope, _exact_coords, _sort_key, convex_hull, reflect_y
 
 
 @dataclass(frozen=True)
@@ -293,6 +293,6 @@ def reflect_collection(omega: Collection) -> Collection:
 def collection_digest(omega: Collection) -> str:
     """SHA-256 digest of the canonical form, equal for equal collections."""
     token = ";".join(
-        "|".join(f"{v.x},{v.y}" for v in member.vertices) for member in omega.members
+        "|".join("%s,%s" % _exact_coords(v) for v in member.vertices) for member in omega.members
     )
     return hashlib.sha256(token.encode("ascii")).hexdigest()

@@ -17,9 +17,11 @@ lift is per point, never over a common denominator, so its cost grows
 with each point's own size and cannot be blown up by the rest of the
 input.
 
-Each Point makes its lift once, when it is built, and a key for equality,
-hashing and lexicographic order: (x, y) with ints where the denominator is
-1, so lattice points never compare Fractions (the hash is unchanged). Each
+Each Point makes its lift, its hash (that of the Fraction pair) and a key
+for equality and lexicographic order once, when it is built. For each
+coordinate c = n/d the key holds the int (n << 32) // d = floor(c * 2^32),
+then c exactly: the int n where d = 1, else the Fraction. So only values
+within 2^-32 of each other, in practice equal ones, compare exactly. Each
 Polytope likewise stores the tuple of its vertices' keys once, which
 validation and the ordering of collections read.
 """
@@ -34,6 +36,8 @@ from typing import Iterable
 
 from .errors import EmptyInputError
 
+_KEY_BITS = 32  # each key coordinate starts with floor(c * 2**_KEY_BITS)
+
 
 def _as_rational(value) -> Fraction:
     if type(value) is Fraction:
@@ -45,12 +49,14 @@ def _as_rational(value) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class Point:
-    """A point of the plane with exact rational coordinates."""
+    """A point of the plane with exact rational coordinates; its lift, its
+    key (floor(x * 2^32), x, floor(y * 2^32), y) and its hash are made once."""
 
     x: Fraction
     y: Fraction
     _lift: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x, y = _as_rational(self.x), _as_rational(self.y)
@@ -60,13 +66,21 @@ class Point:
         yn, yd = y.numerator, y.denominator
         w = xd * yd // gcd(xd, yd)
         object.__setattr__(self, "_lift", (xn * (w // xd), yn * (w // yd), w))
-        object.__setattr__(self, "_key", (xn if xd == 1 else x, yn if yd == 1 else y))
+        ex, ey = xn if xd == 1 else x, yn if yd == 1 else y
+        key = ((xn << _KEY_BITS) // xd, ex, (yn << _KEY_BITS) // yd, ey)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash((ex, ey)))
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is Point else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
+
+
+def _exact_coords(p: Point) -> tuple:
+    # (x, y) as the key stores them: an int wherever the denominator is 1.
+    return p._key[1::2]
 
 
 @dataclass(frozen=True)

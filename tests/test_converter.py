@@ -348,3 +348,19 @@ def test_collection_digest_tracks_equality():
     again = Collection.of([poly(*vl) for vl in reversed(OMEGA0)])
     assert collection_digest(omega) == collection_digest(again)
     assert collection_digest(omega) != collection_digest(coll(*OMEGA1))
+
+
+def test_collection_digest_bytes_are_pinned():
+    # Frozen digests: lattice coordinates print as ints, rational ones as n/d.
+    omega = dm.builtin_counterexample()
+    scale, tx, ty = Fraction(2, 3), Fraction(1, 5), Fraction(-3, 7)
+    image = Collection.of(
+        convex_hull(dm.Point(scale * v.x + tx, scale * v.y + ty) for v in member.vertices)
+        for member in omega.members
+    )
+    assert collection_digest(omega) == (
+        "73195852eb46db6f992c9f3cd7d4f5b553fe0ae10746b5e3372048daa707b158"
+    )
+    assert collection_digest(image) == (
+        "0dfd87c8bd9ce0b489d8b7ca32627681000f1aa5a4ba08ba2a1e39adbb472017"
+    )

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from demyanov import Direction, Point, Polytope, convex_hull, exposed_face
 from demyanov.errors import EmptyInputError
-from demyanov.geometry import orient, reflect_y, support_value
+from demyanov.geometry import _sort_key, orient, reflect_y, support_value
 
 from support import poly, pt, reference_hull_vertices, vertex_set, wide_denominator_points
 
@@ -149,6 +149,39 @@ def test_point_rejects_floats():
         Point(0.5, 1)
     with pytest.raises(TypeError):
         Point(1, 0.5)
+
+
+# Coordinate values for the point key: lattice values, p/q values sharing
+# an integer part, and pairs j/2**40 closer than 2**-32 (their first key
+# entries tie, so only the exact tie-break tells them apart).
+key_values_st = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(lambda k, p: k + Fraction(p, 7), st.integers(-2, 1), st.integers(1, 6)),
+    st.builds(lambda k, p: k + Fraction(p, 9), st.integers(-2, 1), st.integers(1, 8)),
+    st.builds(lambda k, j: k + Fraction(j, 2**40), st.integers(-1, 0), st.integers(-2, 2)),
+)
+
+
+def fresh(value):
+    # A new Fraction object for the value, so equal values arrive as
+    # distinct objects.
+    return Fraction(value.numerator, value.denominator)
+
+
+key_points_st = st.builds(lambda x, y: Point(fresh(x), fresh(y)), key_values_st, key_values_st)
+
+
+@given(st.lists(key_points_st, min_size=1, max_size=8))
+@example([Point(Fraction(1, 2**40), 0), Point(0, 0), Point(Fraction(-1, 2**40), 0)])
+@example([Point(0, Fraction(2, 2**40)), Point(0, Fraction(1, 2**40))])
+def test_point_key_orders_and_equates_as_the_fraction_pair(points):
+    pairs = [(p.x, p.y) for p in points]
+    assert [id(p) for p in sorted(points, key=_sort_key)] == [
+        id(p) for p in sorted(points, key=lambda p: (p.x, p.y))
+    ]
+    for p, xy in zip(points, pairs):
+        assert hash(p) == hash(xy)
+        assert [p == q for q in points] == [xy == other for other in pairs]
 
 
 def test_point_value_semantics():

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from demyanov import builtin_counterexample, parse_family, serialize_family
 from demyanov.errors import EmptyInputError, ParseError
 
 from support import coll, poly, wide_denominator_points
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 BUILTIN_TEXT = (
     '{"version":"1","polytopes":[[["-2","0"],["2","0"]],'
@@ -110,3 +113,22 @@ def test_parse_cost_is_bounded_on_large_denominators():
     omega = parse_family(text)
     assert time.perf_counter() - started < 5
     assert set(omega.members[0].vertices) <= set(points)
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="interpreter has no limit on integer digits")
+def test_parse_cost_is_bounded_on_digit_limit_fibonacci_ratios():
+    # Consecutive Fibonacci numbers are the worst case of Euclid's
+    # algorithm; their ratios, at one digit under the limit, all lie within
+    # far less than 2**-32 of the golden ratio. About 1 MB of them.
+    fib, bound = [1, 2], 10 ** (_DIGIT_LIMIT - 1)
+    while fib[-1] + fib[-2] < bound:
+        fib.append(fib[-1] + fib[-2])
+    assert len(str(fib[-1])) == _DIGIT_LIMIT - 1
+    ratios = [f"{b}/{a}" for a, b in zip(fib[-62:], fib[-61:])]
+    polytopes = [[ratios[i:i + 2] for i in range(j, j + 4)] for j in range(0, 60, 4)]
+    text = json.dumps({"version": "1", "polytopes": polytopes})
+    assert len(text) > 10**6
+    started = time.perf_counter()
+    omega = parse_family(text)
+    assert time.perf_counter() - started < 2
+    assert len(omega) == 15
