@@ -18,7 +18,9 @@ Point made when built, so <v, g> = (X a + Y b) / W for g = (a, b). An
 attaining set is an int bitmask over the index; each distinct one is
 hulled once, on points already sorted. No Fraction or float is involved.
 
-test_directions computes each member edge's outward normal once and lists,
+test_directions computes each member edge's outward normal once, orders
+the distinct normals counterclockwise by an exact int key (the half-plane,
+then floor(-a/b * 2^k) with 2^k above every product |b1 b2|) and lists,
 on each ray cell, the member edges normal to that ray. demyanov_convert
 sweeps the fan once, reading those lists: a member whose edge
 (v_i, v_{i+1}) has the current ray as outward normal exposes v_i just
@@ -37,12 +39,11 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import EmptyInputError, FanInvariantError
-from .geometry import Direction, Point, Polytope, _exact_coords, _sort_key, convex_hull, reflect_y
+from .geometry import Direction, Point, Polytope, _joined_text, _sort_key, convex_hull, reflect_y
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def _cross(d: Direction, e: Direction) -> int:
     return d.a * e.b - d.b * e.a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FanCell:
     """One cell of the refined fan: a single ray or an open sector.
 
@@ -119,16 +120,18 @@ def _edge_normal(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int,
     return a // g, b // g
 
 
-def _half_plane(d: Direction) -> int:
-    # 0 for angles in [0, pi) measured from (1, 0), 1 for [pi, 2*pi).
-    return 0 if d.b > 0 or (d.b == 0 and d.a > 0) else 1
+def _ccw_order(normals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    # Distinct primitive (a, b) counterclockwise from (1, 0): (1, 0), those
+    # with b > 0, (-1, 0), those with b < 0, each run by rising slope -a/b,
+    # keyed by floor(-a/b * 2^k). Distinct slopes differ by at least
+    # 1/|b1 b2| and 2^k > |b1 b2|, so their int keys differ as well.
+    k = 2 * max(abs(b) for _, b in normals).bit_length() + 1
 
+    def angle(normal: tuple[int, int]) -> tuple[int, int]:
+        a, b = normal
+        return (0 if a > 0 else 2, 0) if b == 0 else (1 if b > 0 else 3, (-a << k) // b)
 
-def _angular_cmp(d: Direction, e: Direction) -> int:
-    if _half_plane(d) != _half_plane(e):
-        return _half_plane(d) - _half_plane(e)
-    c = _cross(d, e)
-    return -1 if c > 0 else (1 if c < 0 else 0)
+    return sorted(normals, key=angle)
 
 
 def sector_representative(start: Direction, end: Direction) -> Direction:
@@ -172,7 +175,7 @@ def test_directions(omega: Collection) -> list[FanCell]:
             on_ray.setdefault(_edge_normal(lifts[i], lifts[j]), []).append((m, i, j))
     if not on_ray:
         return [FanCell(CellKind.SECTOR, (), Direction(1, 0))]
-    rays = sorted((Direction(a, b) for a, b in on_ray), key=cmp_to_key(_angular_cmp))
+    rays = [Direction(a, b) for a, b in _ccw_order(list(on_ray))]
     cells: list[FanCell] = []
     for k, ray in enumerate(rays):
         nxt = rays[(k + 1) % len(rays)]
@@ -291,8 +294,7 @@ def reflect_collection(omega: Collection) -> Collection:
 
 
 def collection_digest(omega: Collection) -> str:
-    """SHA-256 digest of the canonical form, equal for equal collections."""
-    token = ";".join(
-        "|".join("%s,%s" % _exact_coords(v) for v in member.vertices) for member in omega.members
-    )
+    """SHA-256 digest of the canonical form, equal for equal collections:
+    the members' vertex texts, each made once per Point and kept."""
+    token = ";".join(_joined_text(member.vertices) for member in omega.members)
     return hashlib.sha256(token.encode("ascii")).hexdigest()

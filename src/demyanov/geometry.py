@@ -18,7 +18,8 @@ with each point's own size and cannot be blown up by the rest of the
 input.
 
 Each Point makes its lift, its hash (that of the Fraction pair) and a key
-for equality and lexicographic order once, when it is built. For each
+for equality and lexicographic order once, when it is built, and its
+"x,y" text for digests once, when a digest first reads it. For each
 coordinate c = n/d the key holds the int (n << 32) // d = floor(c * 2^32),
 then c exactly: the int n where d = 1, else the Fraction. So only values
 within 2^-32 of each other, in practice equal ones, compare exactly. Each
@@ -50,13 +51,16 @@ def _as_rational(value) -> Fraction:
 @dataclass(frozen=True, slots=True)
 class Point:
     """A point of the plane with exact rational coordinates; its lift, its
-    key (floor(x * 2^32), x, floor(y * 2^32), y) and its hash are made once."""
+    key (floor(x * 2^32), x, floor(y * 2^32), y) and its hash are made
+    once; its "x,y" text (each coordinate as str(Fraction) prints it) is
+    made on first use by a digest and kept."""
 
     x: Fraction
     y: Fraction
     _lift: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x, y = _as_rational(self.x), _as_rational(self.y)
@@ -78,9 +82,15 @@ class Point:
         return self._hash
 
 
-def _exact_coords(p: Point) -> tuple:
-    # (x, y) as the key stores them: an int wherever the denominator is 1.
-    return p._key[1::2]
+def _make_text(p: Point) -> str:
+    object.__setattr__(p, "_text", "%s,%s" % p._key[1::2])
+    return p._text
+
+
+def _joined_text(points: Iterable[Point]) -> str:
+    # Each point's "x,y" text, joined by "|". Only digests read it, so a
+    # point makes its text on first use and keeps it.
+    return "|".join([p._text or _make_text(p) for p in points])
 
 
 @dataclass(frozen=True)
@@ -113,15 +123,6 @@ class Direction:
         return Direction(-self.a, -self.b)
 
 
-def _turn(p: tuple[int, int, int], q: tuple[int, int, int], r: tuple[int, int, int]) -> int:
-    # The 3x3 determinant of the rows (X, Y, W): the cross product
-    # (q - p) x (r - p) times the positive W_p * W_q * W_r.
-    px, py, pw = p
-    qx, qy, qw = q
-    rx, ry, rw = r
-    return px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx)
-
-
 # Lexicographic order of points, and of polytopes by their vertex keys.
 _sort_key = attrgetter("_key")
 
@@ -131,7 +132,10 @@ def orient(p: Point, q: Point, r: Point) -> int:
 
     +1 for a counterclockwise turn, -1 for clockwise, 0 for collinear.
     """
-    turn = _turn(p._lift, q._lift, r._lift)
+    # The 3x3 determinant of the rows (X, Y, W): the cross product times the
+    # positive W_p * W_q * W_r. The hull chain and the check inline it too.
+    (px, py, pw), (qx, qy, qw), (rx, ry, rw) = p._lift, q._lift, r._lift
+    turn = px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx)
     return (turn > 0) - (turn < 0)
 
 
@@ -139,22 +143,26 @@ def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
     """Extreme points in canonical order (monotone chain on lifted ints).
 
     Canonical order is counterclockwise starting at the lexicographically
-    smallest vertex; collinear interior points and duplicates (equal
-    lifts) are dropped.
+    smallest vertex; collinear interior points and duplicates are dropped.
     """
-    pts = sorted({p._lift: p for p in points}.values(), key=_sort_key)
+    pts = sorted(points, key=_sort_key)
     if not pts:
         raise EmptyInputError("convex hull of an empty point set")
-    if len(pts) == 1:
+    if pts[0] == pts[-1]:
         return (pts[0],)
     return tuple(_chain(pts) + _chain(reversed(pts)))
 
 
 def _chain(pts: Iterable[Point]) -> list[Point]:
     # One monotone chain, without its last point (the next chain's first).
+    # Sorting puts duplicates side by side, so the turn test pops them too.
     chain: list[Point] = []
     for p in pts:
-        while len(chain) > 1 and _turn(chain[-2]._lift, chain[-1]._lift, p._lift) <= 0:
+        rx, ry, rw = p._lift
+        while len(chain) > 1:
+            (px, py, pw), (qx, qy, qw) = chain[-2]._lift, chain[-1]._lift
+            if px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx) > 0:
+                break
             chain.pop()
         chain.append(p)
     return chain[:-1]
@@ -162,17 +170,25 @@ def _chain(pts: Iterable[Point]) -> list[Point]:
 
 def _is_canonical(verts: tuple[Point, ...], keys: tuple) -> bool:
     # verts == _hull_vertices(verts) in one pass: one point, two in strict
-    # lexicographic order, or a cycle rising in that order from verts[0] to
-    # one peak and falling back, turning strictly left (so never repeating).
-    if len(verts) < 3:
-        return len(verts) == 1 or keys[0] < keys[1]
-    rises = [a < b for a, b in zip(keys, keys[1:] + keys[:1])]
-    lifts = [v._lift for v in verts]
-    return (
-        rises[0]
-        and sum(a != b for a, b in zip(rises, rises[1:])) == 1
-        and all(_turn(lifts[j - 2], lifts[j - 1], lifts[j]) > 0 for j in range(len(verts)))
-    )
+    # lexicographic order, or a cycle whose keys rise strictly from verts[0]
+    # to one peak and fall strictly back, turning strictly left throughout.
+    n = len(verts)
+    if n < 3:
+        return n == 1 or keys[0] < keys[1]
+    i = 1
+    while i < n and keys[i - 1] < keys[i]:
+        i += 1
+    # keys[i - 1] is the peak; the rest must fall strictly back to keys[0],
+    # which also fails if they do not rise from it (i == 1).
+    if not all(a > b for a, b in zip(keys[i - 1 :], keys[i:] + keys[:1])):
+        return False
+    (px, py, pw), (qx, qy, qw) = verts[-2]._lift, verts[-1]._lift
+    for v in verts:
+        rx, ry, rw = v._lift
+        if px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx) <= 0:
+            return False
+        px, py, pw, qx, qy, qw = qx, qy, qw, rx, ry, rw
+    return True
 
 
 @dataclass(frozen=True)
@@ -192,7 +208,7 @@ class Polytope:
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
-        keys = tuple(v._key for v in verts)
+        keys = tuple(map(_sort_key, verts))
         object.__setattr__(self, "_key", keys)
         if not verts:
             raise EmptyInputError("a polytope needs at least one vertex")

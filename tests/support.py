@@ -226,6 +226,24 @@ def reference_hull_vertices(points):
     return tuple(lower[:-1] + upper[:-1])
 
 
+def reference_angular_cmp(d, e):
+    """Counterclockwise order of nonzero (a, b) pairs from (1, 0), as a cmp.
+
+    A test-only reference for the fan's int sort key: half-plane first
+    (angles in [0, pi) before [pi, 2*pi)), then the sign of the cross
+    product, sharing no arithmetic with the library's key.
+    """
+
+    def half_plane(v):
+        a, b = v
+        return 0 if b > 0 or (b == 0 and a > 0) else 1
+
+    if half_plane(d) != half_plane(e):
+        return half_plane(d) - half_plane(e)
+    cross = d[0] * e[1] - d[1] * e[0]
+    return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+
 def wide_denominator_points(count, seed=0):
     """count points in [-10, 10]^2 whose 2 * count coordinates have
     pairwise distinct denominators of about 31 bits.

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import demyanov as dm
 from demyanov import (
@@ -25,7 +27,19 @@ from demyanov.converter import (
 from demyanov.errors import EmptyInputError, FanInvariantError
 from demyanov.geometry import reflect_y
 
-from support import OMEGA0, OMEGA1, P1, P4, TABLE_OMEGA0, coll, direction, poly, pt, vertex_set
+from support import (
+    OMEGA0,
+    OMEGA1,
+    P1,
+    P4,
+    TABLE_OMEGA0,
+    coll,
+    direction,
+    poly,
+    pt,
+    reference_angular_cmp,
+    vertex_set,
+)
 
 coords_st = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 members_st = st.lists(st.builds(pt, coords_st, coords_st), min_size=1, max_size=5).map(convex_hull)
@@ -158,6 +172,56 @@ def test_ray_cells_list_the_member_edges_normal_to_them(omega):
         for i in range(len(member.vertices))
     ]
     assert sorted(listed) == sorted(edges)
+
+
+def primitive(a, b):
+    g = gcd(a, b)
+    return a // g, b // g
+
+
+def farey_neighbours(normal):
+    # n = (a, b), m = (c, d) with a*d - b*c = 1 and their sum: consecutive
+    # rays whose slopes a/b, c/d and (a+c)/(b+d) differ by 1/|b d| and
+    # 1/|b (b+d)|, far below 2^-64 once b and d are large.
+    a, b = normal
+    d = pow(a, -1, abs(b)) if b else a
+    c = (a * d - 1) // b if b else 0
+    return [normal, (c, d), (a + c, b + d)]
+
+
+huge_st = st.integers(-(2**80), 2**80)
+primitive_normals_st = (
+    st.tuples(huge_st, huge_st).filter(lambda ab: ab != (0, 0)).map(lambda ab: primitive(*ab))
+)
+normal_sets_st = st.lists(
+    st.one_of(
+        primitive_normals_st.map(lambda n: [n]),
+        primitive_normals_st.map(farey_neighbours),
+        st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1)]).map(lambda n: [n]),
+    ),
+    min_size=1,
+    max_size=6,
+).flatmap(lambda groups: st.permutations(list({n: None for g in groups for n in g})))
+
+
+@given(normal_sets_st)
+# Slopes 2^80 / (2^80 - 1) and its two Farey neighbours, 2^-160 apart,
+# in both half-planes, with the axis rays opening each half-plane.
+@example(
+    farey_neighbours((2**80, 2**80 - 1))
+    + [(-a, -b) for a, b in farey_neighbours((2**80, 2**80 - 1))]
+    + [(-1, 0), (1, 0)]
+)
+def test_ccw_order_matches_the_reference_comparator(normals):
+    assert converter._ccw_order(list(normals)) == sorted(
+        normals, key=cmp_to_key(reference_angular_cmp)
+    )
+
+
+@given(mixed_families_st)
+def test_fan_rays_are_in_reference_angular_order(omega):
+    rays = [(d.a, d.b) for d in ray_representatives(omega)]
+    assert rays == sorted(set(rays), key=cmp_to_key(reference_angular_cmp))
 
 
 def test_sector_representative_examples():

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from demyanov import Direction, Point, Polytope, convex_hull, exposed_face
 from demyanov.errors import EmptyInputError
-from demyanov.geometry import _sort_key, orient, reflect_y, support_value
+from demyanov.geometry import _joined_text, _sort_key, orient, reflect_y, support_value
 
 from support import poly, pt, reference_hull_vertices, vertex_set, wide_denominator_points
 
@@ -199,6 +199,21 @@ def test_point_value_semantics():
         p.x = Fraction(3)
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [(2, -3), ("7", "-1/4"), (Fraction(6, 3), Fraction(-10, 5)), (Fraction(-3, 7), Fraction(-22, 6))],
+)
+def test_point_text_is_the_fraction_pair_text(x, y):
+    p = Point(x, y)
+    text = "%s,%s" % (Fraction(x), Fraction(y))
+    assert _joined_text([p, p]) == text + "|" + text
+    assert p._text == text
+    # The text neither shows in repr nor takes part in equality or hashing.
+    assert repr(p) == "Point(x=%r, y=%r)" % (Fraction(x), Fraction(y))
+    assert p == Point(Fraction(x), Fraction(y))
+    assert hash(p) == hash((Fraction(x), Fraction(y)))
+
+
 def test_polytope_value_semantics():
     seg = Polytope((pt(0, 0), pt("1/2", 1)))
     assert seg == convex_hull([pt(Fraction(2, 4), 1), pt(0, 0), pt(Fraction(1, 4), "1/2")])
@@ -222,6 +237,14 @@ def test_direction_canonicalises_to_primitive():
 @given(vertex_tuples_st)
 # A collinear vertex on the closing edge, the one turn that wraps around.
 @example((pt(0, 0), pt(2, 0), pt(2, 2), pt(1, 1)))
+# A cycle whose last vertex equals its first.
+@example((pt(0, 0), pt(2, 0), pt(1, 1), pt(0, 0)))
+# Plateaus of equal consecutive keys, on the rising and the falling run.
+@example((pt(0, 0), pt(2, 0), pt(2, 0), pt(1, 1)))
+@example((pt(0, 0), pt(2, 0), pt(1, 1), pt(1, 1)))
+# Two peaks: a pentagram turns strictly left at every vertex, but its keys
+# rise, fall, rise and fall back.
+@example((pt(0, 0), pt(3, 2), pt(-1, 2), pt(2, 0), pt(1, 3)))
 def test_polytope_accepts_exactly_the_hull_output(vertices):
     canonical = vertices == reference_hull_vertices(vertices)
     try:
@@ -233,6 +256,12 @@ def test_polytope_accepts_exactly_the_hull_output(vertices):
 
 
 @given(hull_inputs_st)
+# Every point equal, built in distinct forms: the hull is one point.
+@example([Point(Fraction(4, 2), 1), Point(2, "1")])
+@example([pt(1, 1), pt(1, 1), pt(1, 1)])
+# Duplicates at both ends of both chains, and on a collinear run.
+@example([pt(0, 0), pt(2, 0), pt(0, 0), pt(1, 1), pt(2, 0), pt(1, 1)])
+@example([pt(2, 2), pt(0, 0), pt(1, 1), pt(0, 0), pt(2, 2), pt(1, 1)])
 def test_convex_hull_matches_fraction_reference(points):
     assert convex_hull(points).vertices == reference_hull_vertices(points)
 
