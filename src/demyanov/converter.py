@@ -43,7 +43,8 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import EmptyInputError, FanInvariantError
-from .geometry import Direction, Point, Polytope, _joined_text, _sort_key, convex_hull, reflect_y
+from .geometry import Direction, Point, Polytope, convex_hull
+from .geometry import _as_rational, _joined_text, _sort_key
 
 
 @dataclass(frozen=True)
@@ -288,9 +289,20 @@ def representative_bound(omega: Collection) -> int:
     )
 
 
-def reflect_collection(omega: Collection) -> Collection:
-    """Mirror image of every member through the vertical axis."""
-    return Collection.of(reflect_y(member) for member in omega.members)
+def affine_image(omega: Collection, A, t=(0, 0)) -> Collection:
+    """The family mapped by x -> A x + t, every member hulled again.
+
+    A = ((a, b), (c, d)) and t = (tx, ty) hold rationals as Point takes
+    them, so a float raises TypeError; a singular A raises ValueError.
+    """
+    (a, b), (c, d) = [[_as_rational(e) for e in row] for row in A]
+    tx, ty = map(_as_rational, t)
+    if a * d == b * c:
+        raise ValueError("A is singular; an affine image needs an invertible map")
+    return Collection.of(
+        convex_hull(Point(a * v.x + b * v.y + tx, c * v.x + d * v.y + ty) for v in m.vertices)
+        for m in omega.members
+    )
 
 
 def collection_digest(omega: Collection) -> str:

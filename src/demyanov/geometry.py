@@ -119,24 +119,9 @@ class Direction:
         """The ray a quarter turn counterclockwise from this one."""
         return Direction(-self.b, self.a)
 
-    def opposite(self) -> Direction:
-        return Direction(-self.a, -self.b)
-
 
 # Lexicographic order of points, and of polytopes by their vertex keys.
 _sort_key = attrgetter("_key")
-
-
-def orient(p: Point, q: Point, r: Point) -> int:
-    """Sign of the cross product (q - p) x (r - p).
-
-    +1 for a counterclockwise turn, -1 for clockwise, 0 for collinear.
-    """
-    # The 3x3 determinant of the rows (X, Y, W): the cross product times the
-    # positive W_p * W_q * W_r. The hull chain and the check inline it too.
-    (px, py, pw), (qx, qy, qw), (rx, ry, rw) = p._lift, q._lift, r._lift
-    turn = px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx)
-    return (turn > 0) - (turn < 0)
 
 
 def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
@@ -238,8 +223,3 @@ def exposed_face(polytope: Polytope, g: Direction) -> Polytope:
     """
     best = support_value(polytope, g)
     return convex_hull(v for v in polytope.vertices if v.x * g.a + v.y * g.b == best)
-
-
-def reflect_y(polytope: Polytope) -> Polytope:
-    """Mirror image through the vertical axis, re-canonicalised."""
-    return convex_hull(Point(-v.x, v.y) for v in polytope.vertices)

@@ -9,7 +9,10 @@ are frozen here as an oracle independent of the fan-cell machinery.
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from demyanov import Collection, Direction, Point, convex_hull
+from demyanov.converter import affine_image
 
 
 def pt(x, y):
@@ -198,18 +201,55 @@ def direction(pair):
     return Direction(pair[0], pair[1])
 
 
+# x -> (-x, y), as the linear part A of an affine map: the bundled family
+# and each of its iterates are symmetric about the vertical axis.
+MIRROR = ((-1, 0), (0, 1))
+
+_entries_st = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# Invertible rational affine maps x -> A x + t as (A, t). Entries are p/q,
+# so images carry denominators, and det A takes both signs, so maps that
+# reverse orientation are drawn as often as those that keep it.
+affine_maps_st = st.tuples(
+    st.tuples(st.tuples(_entries_st, _entries_st), st.tuples(_entries_st, _entries_st)).filter(
+        lambda A: A[0][0] * A[1][1] != A[0][1] * A[1][0]
+    ),
+    st.tuples(_entries_st, _entries_st),
+)
+
+
+def inverse_map(A, t):
+    """(A^-1, -A^-1 t): the affine map undoing x -> A x + t."""
+    (a, b), (c, d) = A
+    det = Fraction(a * d - b * c)
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    return inv, tuple(-(row[0] * t[0] + row[1] * t[1]) for row in inv)
+
+
+def affine_polytope(polytope, A, t=(0, 0)):
+    """The image of one polytope under x -> A x + t."""
+    return affine_image(Collection((polytope,)), A, t).members[0]
+
+
+def mirror_symmetric(omega):
+    """omega together with its mirror image: a family the mirror fixes."""
+    return Collection.of(list(omega) + list(affine_image(omega, MIRROR)))
+
+
+def turn(p, q, r):
+    """The Fraction cross product (q - p) x (r - p): positive on a left
+    turn, zero on collinear points. It shares no arithmetic with the
+    library's integer determinant."""
+    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+
+
 def reference_hull_vertices(points):
     """Extreme points in canonical order, by a monotone chain on Fraction
     coordinates.
 
     A test-only reference for the library's integer hull: it sorts and
-    deduplicates the points by their Fraction values and orients by the
-    Fraction cross product, sharing no arithmetic with the library.
+    deduplicates the points by their Fraction values and orients by turn,
+    sharing no arithmetic with the library.
     """
-
-    def turn(p, q, r):
-        return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-
     pts = sorted(set(points), key=lambda p: (p.x, p.y))
     if len(pts) == 1:
         return (pts[0],)

@@ -24,17 +24,18 @@ from demyanov import (
     serialize_family,
 )
 from demyanov.cli import EX_OK, cli_dispatch
-from demyanov.converter import reflect_collection, representative_bound
-from demyanov.geometry import reflect_y
+from demyanov.converter import affine_image, representative_bound
 
 from support import (
     ARGMAX_TABLES,
+    MIRROR,
     TABLE_OMEGA0,
     TABLE_OMEGA1,
     TABLE_OMEGA2,
     TABLE_OMEGA3,
     coll,
     direction,
+    mirror_symmetric,
     poly,
     vertex_set,
 )
@@ -161,16 +162,13 @@ def test_criterion_7_affinely_independent_special_case():
 
 def test_criterion_8_symmetry_equivariance(builtin_orbit):
     for omega in builtin_orbit.trajectory:
-        assert reflect_collection(omega) == omega
+        assert affine_image(omega, MIRROR) == omega
     for i in range(50):
         r = random.Random(31_000 + i)
         base = random_family(r.randint(1, 3), 4, 3, seed=32_000 + i)
-        symmetric = Collection.of(
-            list(base.members) + [reflect_y(m) for m in base.members]
-        )
-        result = iterate_until_cycle(symmetric, 10_000)
+        result = iterate_until_cycle(mirror_symmetric(base), 10_000)
         for omega in result.trajectory:
-            assert reflect_collection(omega) == omega
+            assert affine_image(omega, MIRROR) == omega
     _report(8, "reflection invariance preserved along 51 orbits")
 
 

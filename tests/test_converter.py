@@ -15,26 +15,29 @@ from demyanov import (
     converter_image,
     demyanov_convert,
     exposed_face,
+    iterate_until_cycle,
     sampled_convert,
 )
 from demyanov import converter
 from demyanov.converter import (
     CellKind,
-    reflect_collection,
+    affine_image,
     representative_bound,
     sector_representative,
 )
 from demyanov.errors import EmptyInputError, FanInvariantError
-from demyanov.geometry import reflect_y
 
 from support import (
+    MIRROR,
     OMEGA0,
     OMEGA1,
     P1,
     P4,
     TABLE_OMEGA0,
+    affine_maps_st,
     coll,
     direction,
+    mirror_symmetric,
     poly,
     pt,
     reference_angular_cmp,
@@ -79,7 +82,7 @@ def small_family(seed):
 
 def interior_witness(cell, rng):
     start, end = cell.bounds
-    if end == start.opposite():
+    if (end.a, end.b) == (-start.a, -start.b):
         # Half-plane sector: positive normal component, any tangential one.
         normal = start.rotated_ccw()
         lam, mu = rng.randint(-9, 9), rng.randint(1, 9)
@@ -393,18 +396,20 @@ def test_image_constant_inside_each_sector():
             assert converter_image(omega, interior_witness(cell, rng)) == reference
 
 
-def test_symmetry_equivariance():
-    omega = coll(*OMEGA0)
-    assert reflect_collection(omega) == omega
-    image = demyanov_convert(omega)
-    assert reflect_collection(image) == image
-    for seed in range(20):
-        base = small_family(seed)
-        symmetric = Collection.of(
-            list(base.members) + [reflect_y(m) for m in base.members]
-        )
-        converted = demyanov_convert(symmetric)
-        assert reflect_collection(converted) == converted
+@given(mixed_families_st, affine_maps_st)
+# The vertical mirror on the bundled family, which it maps to itself, and
+# on families made symmetric by adding their mirror images.
+@example(coll(*OMEGA0), (MIRROR, (0, 0)))
+@example(mirror_symmetric(small_family(3)), (MIRROR, (0, 0)))
+@example(mirror_symmetric(small_family(11)), (MIRROR, (0, 0)))
+def test_orbits_commute_with_affine_maps(omega, phi):
+    # For invertible affine phi, demyanov_convert(phi omega) equals
+    # phi(demyanov_convert(omega)) (trajectory[1]), so whole orbits map onto
+    # each other and share (N, L).
+    orbit = iterate_until_cycle(omega, 10_000)
+    mapped = iterate_until_cycle(affine_image(omega, *phi), 10_000)
+    assert (mapped.preperiod, mapped.cycle_length) == (orbit.preperiod, orbit.cycle_length)
+    assert list(mapped.trajectory) == [affine_image(state, *phi) for state in orbit.trajectory]
 
 
 def test_collection_digest_tracks_equality():
@@ -417,11 +422,8 @@ def test_collection_digest_tracks_equality():
 def test_collection_digest_bytes_are_pinned():
     # Frozen digests: lattice coordinates print as ints, rational ones as n/d.
     omega = dm.builtin_counterexample()
-    scale, tx, ty = Fraction(2, 3), Fraction(1, 5), Fraction(-3, 7)
-    image = Collection.of(
-        convex_hull(dm.Point(scale * v.x + tx, scale * v.y + ty) for v in member.vertices)
-        for member in omega.members
-    )
+    scale = Fraction(2, 3)
+    image = affine_image(omega, ((scale, 0), (0, scale)), (Fraction(1, 5), Fraction(-3, 7)))
     assert collection_digest(omega) == (
         "73195852eb46db6f992c9f3cd7d4f5b553fe0ae10746b5e3372048daa707b158"
     )

@@ -16,10 +16,10 @@ from demyanov import (
     search_cycles,
     verify_claim,
 )
-from demyanov.converter import reflect_collection
+from demyanov.converter import affine_image
 from demyanov.errors import CapExceededError, GenerationFailedError
 
-from support import OMEGA0, OMEGA1, OMEGA2, OMEGA3, OMEGA4, coll, poly
+from support import MIRROR, OMEGA0, OMEGA1, OMEGA2, OMEGA3, OMEGA4, coll, poly
 
 
 def test_builtin_counterexample_members():
@@ -28,7 +28,7 @@ def test_builtin_counterexample_members():
     assert len(omega) == 4
     with_origin = [m for m in omega if Point(0, 0) in m.vertices]
     assert with_origin == [poly((1, 2), (-1, 2), (0, 0))]
-    assert reflect_collection(omega) == omega
+    assert affine_image(omega, MIRROR) == omega
 
 
 def test_builtin_orbit_reaches_length_four_cycle():

@@ -1,16 +1,33 @@
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from demyanov import Direction, Point, Polytope, convex_hull, exposed_face
+from demyanov.converter import affine_image
 from demyanov.errors import EmptyInputError
-from demyanov.geometry import _joined_text, _sort_key, orient, reflect_y, support_value
+from demyanov.geometry import _joined_text, _sort_key, support_value
 
-from support import poly, pt, reference_hull_vertices, vertex_set, wide_denominator_points
+from support import (
+    MIRROR,
+    OMEGA0,
+    P1,
+    P2,
+    P4,
+    affine_maps_st,
+    affine_polytope,
+    coll,
+    inverse_map,
+    poly,
+    pt,
+    reference_hull_vertices,
+    turn,
+    vertex_set,
+    wide_denominator_points,
+)
 
 # p/q coordinates with small denominators, so equal and collinear points
 # still turn up often.
@@ -90,28 +107,17 @@ directions_st = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
 
 
 def contains_point(polytope, p):
-    # Independent membership predicate used to validate hulls.
+    # Independent membership predicate used to validate hulls: turn works
+    # on Fractions, apart from the library's integer determinant.
     verts = polytope.vertices
     if len(verts) == 1:
         return p == verts[0]
     if len(verts) == 2:
         a, b = verts
-        if orient(a, b, p) != 0:
+        if turn(a, b, p) != 0:
             return False
         return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    return all(orient(verts[i], verts[(i + 1) % len(verts)], p) >= 0 for i in range(len(verts)))
-
-
-def test_orient_signs():
-    assert orient(pt(0, 0), pt(1, 0), pt(0, 1)) == 1
-    assert orient(pt(0, 0), pt(1, 1), pt(2, 2)) == 0
-    assert orient(pt(0, 0), pt(0, 1), pt(1, 0)) == -1
-
-
-def test_orient_is_exact_on_tiny_fractions():
-    almost = Fraction(1, 10**30)
-    assert orient(pt(0, 0), pt(1, 0), pt(1, almost)) == 1
-    assert orient(pt(0, 0), pt(1, 0), pt(1, -almost)) == -1
+    return all(turn(verts[i], verts[(i + 1) % len(verts)], p) >= 0 for i in range(len(verts)))
 
 
 def test_convex_hull_triangle_canonical_form():
@@ -262,6 +268,9 @@ def test_polytope_accepts_exactly_the_hull_output(vertices):
 # Duplicates at both ends of both chains, and on a collinear run.
 @example([pt(0, 0), pt(2, 0), pt(0, 0), pt(1, 1), pt(2, 0), pt(1, 1)])
 @example([pt(2, 2), pt(0, 0), pt(1, 1), pt(0, 0), pt(2, 2), pt(1, 1)])
+# Turns of 10^-30 either way, far below any float's resolution at 1.
+@example([pt(0, 0), pt(1, 0), pt(1, Fraction(1, 10**30))])
+@example([pt(0, 0), pt(1, 0), pt(1, -Fraction(1, 10**30)), pt(Fraction(1, 2), 0)])
 def test_convex_hull_matches_fraction_reference(points):
     assert convex_hull(points).vertices == reference_hull_vertices(points)
 
@@ -297,7 +306,7 @@ def test_convex_hull_turns_strictly_left(points):
     verts = convex_hull(points).vertices
     if len(verts) >= 3:
         n = len(verts)
-        assert all(orient(verts[i], verts[(i + 1) % n], verts[(i + 2) % n]) == 1 for i in range(n))
+        assert all(turn(verts[i], verts[(i + 1) % n], verts[(i + 2) % n]) > 0 for i in range(n))
         assert verts[0] == min(verts, key=lambda v: (v.x, v.y))
 
 
@@ -340,22 +349,53 @@ def test_exposed_face_ignores_positive_scaling(points, g, scale):
     assert exposed_face(hull, Direction(g.a * scale, g.b * scale)) == exposed_face(hull, g)
 
 
-def test_reflect_y_examples():
-    p1 = poly((1, 0), (1, 1), (-1, 0))
-    p2 = poly((-1, 0), (-1, 1), (1, 0))
-    assert reflect_y(p1) == p2
-    segment = poly((-2, 0), (2, 0))
-    assert reflect_y(segment) == segment
-    assert reflect_y(poly((1, 2))) == poly((-1, 2))
+def test_affine_image_examples():
+    assert affine_image(coll(P1), MIRROR) == coll(P2)
+    assert affine_image(coll(P4), MIRROR) == coll(P4)
+    assert affine_image(coll(((1, 2),)), MIRROR) == coll(((-1, 2),))
+    assert affine_image(coll(*OMEGA0), MIRROR) == coll(*OMEGA0)
+    # A quarter turn and a translation.
+    unit = coll(((0, 0), (1, 0), (0, 1)), ((1, 1),))
+    quarter_turn = ((0, -1), (1, 0))
+    assert affine_image(unit, quarter_turn, (1, 0)) == coll(((1, 0), (1, 1), (0, 0)), ((0, 1),))
+    # A shear with rational entries given as str and Fraction.
+    assert affine_image(unit, (("1/2", 1), (0, Fraction(1, 3))), ("1/5", 0)) == coll(
+        (("1/5", 0), ("7/10", 0), ("6/5", "1/3")), (("17/10", "1/3"),)
+    )
 
 
-@given(point_lists_st)
-def test_reflect_y_is_involution(points):
+def test_affine_image_rejects_singular_and_float_maps():
+    omega = coll(*OMEGA0)
+    for singular in [((1, 2), (2, 4)), ((0, 0), (0, 0)), ((Fraction(1, 2), 1), (1, "2"))]:
+        with pytest.raises(ValueError):
+            affine_image(omega, singular)
+    with pytest.raises(TypeError):
+        affine_image(omega, ((1.0, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        affine_image(omega, ((1, 0), (0, 1)), (0, 0.5))
+
+
+@given(point_lists_st, affine_maps_st)
+@example([pt(1, 0), pt(1, 1), pt(-1, 0)], (MIRROR, (0, 0)))
+def test_affine_image_round_trip(points, phi):
     hull = convex_hull(points)
-    assert reflect_y(reflect_y(hull)) == hull
+    assert affine_polytope(affine_polytope(hull, *phi), *inverse_map(*phi)) == hull
 
 
-@given(point_lists_st, directions_st)
-def test_reflect_y_mirrors_support(points, g):
+def pulled_back(A, g):
+    # A^T g, scaled by a positive int to integer components: the direction
+    # in which P's face maps to the face of A P + t in direction g.
+    (a, b), (c, d) = A
+    u, v = Fraction(a * g.a + c * g.b), Fraction(b * g.a + d * g.b)
+    scale = lcm(u.denominator, v.denominator)
+    return Direction((u * scale).numerator, (v * scale).numerator)
+
+
+@given(point_lists_st, affine_maps_st, directions_st)
+@example([pt(1, 0), pt(1, 1), pt(-1, 0)], (MIRROR, (0, 0)), Direction(1, 2))
+def test_exposed_face_commutes_with_affine_maps(points, phi, g):
     hull = convex_hull(points)
-    assert support_value(reflect_y(hull), Direction(-g.a, g.b)) == support_value(hull, g)
+    A, t = phi
+    assert exposed_face(affine_polytope(hull, A, t), g) == affine_polytope(
+        exposed_face(hull, pulled_back(A, g)), A, t
+    )

@@ -1,11 +1,12 @@
-"""No float enters the geometry: a syntactic guard over the exact kernels."""
+"""No float enters the program: a syntactic guard over every module of the
+package, the exact kernels and the CLI, document and SVG layers alike."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from demyanov import converter, geometry
+import demyanov
 
 ALLOWED_MATH = {"gcd", "lcm"}
 
@@ -36,9 +37,16 @@ def float_uses(source: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", [geometry, converter], ids=lambda m: m.__name__)
+# Every source file of the package by module name, read and never imported.
+MODULES = {
+    f"demyanov.{path.stem}".removesuffix(".__init__"): path
+    for path in Path(demyanov.__file__).parent.glob("*.py")
+}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_exact_kernels_use_no_float(module):
-    assert float_uses(Path(module.__file__).read_text(encoding="utf-8")) == []
+    assert float_uses(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def test_float_guard_flags_each_kind_of_float_use():
