@@ -275,6 +275,18 @@ def test_convex_hull_matches_fraction_reference(points):
     assert convex_hull(points).vertices == reference_hull_vertices(points)
 
 
+def test_orient_is_exact_on_tiny_fractions():
+    # The hull's turn test must see a 10^-30 turn either way; a float
+    # orientation at 1 would call both points collinear and drop them.
+    almost = Fraction(1, 10**30)
+    assert convex_hull([pt(0, 0), pt(1, 0), pt(1, almost)]).vertices == (
+        pt(0, 0), pt(1, 0), pt(1, almost),
+    )
+    assert convex_hull([pt(0, 0), pt(1, 0), pt(1, -almost), pt(Fraction(1, 2), 0)]).vertices == (
+        pt(0, 0), pt(1, -almost), pt(1, 0),
+    )
+
+
 def test_convex_hull_cost_is_bounded_on_large_denominators():
     points = wide_denominator_points(3000)
     started = time.perf_counter()
