@@ -21,13 +21,15 @@ hulled once, on points already sorted. No Fraction or float is involved.
 test_directions computes each member edge's outward normal once, orders
 the distinct normals counterclockwise by an exact int key (the half-plane,
 then floor(-a/b * 2^k) with 2^k above every product |b1 b2|) and lists,
-on each ray cell, the member edges normal to that ray. demyanov_convert
-sweeps the fan once, reading those lists: a member whose edge
-(v_i, v_{i+1}) has the current ray as outward normal exposes v_i just
-before the ray, the edge on it and v_{i+1} after it, and every other
-member keeps its face. Counting per vertex the members whose face it is
-keeps the union's mask, so a step costs time linear in cells plus member
-vertices.
+on each ray cell, the member edges normal to that ray. Cells keep their
+rays as those primitive int pairs, each consecutive pair checked in ints;
+a cell's Directions and witness are made only when read, which the sweep
+never does. demyanov_convert sweeps the fan once, reading those lists: a
+member whose edge (v_i, v_{i+1}) has the current ray as outward normal
+exposes v_i just before the ray, the edge on it and v_{i+1} after it, and
+every other member keeps its face. Counting per vertex the members whose
+face it is keeps the union's mask, so a step costs time linear in cells
+plus member vertices.
 sampled_convert and converter_image instead score every member vertex at
 each direction, comparing values by cross-multiplying with W; sharing
 none of the sweep, sampled_convert checks demyanov_convert.
@@ -84,19 +86,16 @@ class CellKind(Enum):
     SECTOR = "sector"
 
 
-def _cross(d: Direction, e: Direction) -> int:
-    return d.a * e.b - d.b * e.a
-
-
 @dataclass(frozen=True, slots=True)
 class FanCell:
     """One cell of the refined fan: a single ray or an open sector.
 
-    bounds holds the delimiting rays: one direction for a RAY cell, the
-    counterclockwise (start, end) pair for a SECTOR cell, and nothing for
-    the all-directions sector of a fan with no rays at all. A sector's
-    representative comes from sector_representative, so it sits strictly
-    inside the open sector.
+    rays holds the delimiting rays as primitive int pairs (a, b): one for
+    a RAY cell, the counterclockwise (start, end) pair for a SECTOR cell,
+    and none for the all-directions sector of a fan with no rays at all.
+    kind, bounds (the rays as Directions) and representative are built
+    only when read; a sector's representative comes from
+    sector_representative, so it sits strictly inside the open sector.
 
     edges lists, on a RAY cell, the member edges (m, i, j) whose outward
     normal is the ray: m is the member's position in omega.members and i, j
@@ -105,10 +104,22 @@ class FanCell:
     has (m, 0, 1) on its normal n and (m, 1, 0) on -n. Sectors have none.
     """
 
-    kind: CellKind
-    bounds: tuple[Direction, ...]
-    representative: Direction
+    rays: tuple[tuple[int, int], ...]
     edges: tuple[tuple[int, int, int], ...] = ()
+
+    @property
+    def kind(self) -> CellKind:
+        return CellKind.RAY if len(self.rays) == 1 else CellKind.SECTOR
+
+    @property
+    def bounds(self) -> tuple[Direction, ...]:
+        return tuple(Direction(a, b) for a, b in self.rays)
+
+    @property
+    def representative(self) -> Direction:
+        if len(self.rays) == 2:
+            return sector_representative(*self.bounds)
+        return Direction(*self.rays[0]) if self.rays else Direction(1, 0)
 
 
 def _edge_normal(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int]:
@@ -135,6 +146,15 @@ def _ccw_order(normals: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return sorted(normals, key=angle)
 
 
+def _check_sector(start: tuple[int, int], end: tuple[int, int]) -> None:
+    # Consecutive fan rays bound a sector narrower than a half turn (their
+    # cross product is positive) or exactly a half turn (they are opposite).
+    (a, b), (c, d) = start, end
+    cross = a * d - b * c
+    if cross <= 0 and (cross or c != -a or d != -b):
+        raise FanInvariantError(f"rays {start} and {end} do not bound a sector")
+
+
 def sector_representative(start: Direction, end: Direction) -> Direction:
     """A primitive direction strictly inside the open sector from start
     counterclockwise to end.
@@ -145,15 +165,9 @@ def sector_representative(start: Direction, end: Direction) -> Direction:
     anything wider mean the bounds were not consecutive fan rays, a caller
     bug reported as FanInvariantError.
     """
-    if start == end:
-        raise FanInvariantError(f"empty sector at {start}")
+    _check_sector((start.a, start.b), (end.a, end.b))
     a, b = start.a + end.a, start.b + end.b
-    if a == 0 and b == 0:
-        return start.rotated_ccw()
-    rep = Direction(a, b)
-    if _cross(start, rep) <= 0 or _cross(rep, end) <= 0:
-        raise FanInvariantError(f"sector from {start} to {end} spans more than a half turn")
-    return rep
+    return start.rotated_ccw() if a == 0 and b == 0 else Direction(a, b)
 
 
 def test_directions(omega: Collection) -> list[FanCell]:
@@ -163,7 +177,8 @@ def test_directions(omega: Collection) -> list[FanCell]:
     representatives enumerates the full image set. The rays, in
     counterclockwise order from (1, 0), are the members' outward edge
     normals; each ray cell lists the edges normal to it. A fan without rays
-    collapses to a single sector with representative (1, 0).
+    collapses to a single sector with representative (1, 0). A broken ray
+    order raises FanInvariantError here, before any witness is read.
     """
     on_ray: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for m, member in enumerate(omega.members):
@@ -175,13 +190,13 @@ def test_directions(omega: Collection) -> list[FanCell]:
             j = (i + 1) % n
             on_ray.setdefault(_edge_normal(lifts[i], lifts[j]), []).append((m, i, j))
     if not on_ray:
-        return [FanCell(CellKind.SECTOR, (), Direction(1, 0))]
-    rays = [Direction(a, b) for a, b in _ccw_order(list(on_ray))]
+        return [FanCell(())]
+    rays = _ccw_order(list(on_ray))
     cells: list[FanCell] = []
-    for k, ray in enumerate(rays):
-        nxt = rays[(k + 1) % len(rays)]
-        cells.append(FanCell(CellKind.RAY, (ray,), ray, tuple(on_ray[ray.a, ray.b])))
-        cells.append(FanCell(CellKind.SECTOR, (ray, nxt), sector_representative(ray, nxt)))
+    for ray, nxt in zip(rays, rays[1:] + rays[:1]):
+        _check_sector(ray, nxt)
+        cells.append(FanCell((ray,), tuple(on_ray[ray])))
+        cells.append(FanCell((ray, nxt)))
     return cells
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from demyanov import Collection, Direction, Point, convex_hull
-from demyanov.converter import affine_image
+from demyanov.converter import _ccw_order, affine_image
 
 
 def pt(x, y):
@@ -29,6 +29,17 @@ def coll(*vertex_lists):
 
 def vertex_set(polytope):
     return {(v.x, v.y) for v in polytope.vertices}
+
+
+# Ray orders test_directions must reject, eagerly: one ray leaves an empty
+# sector from it to itself, and keeping only the rays with b > 0 closes the
+# fan with a sector wider than a half turn. (Keeping b >= 0 would not fail
+# on the bundled family: it closes with the half turn from (-1, 0) to
+# (1, 0).)
+BROKEN_RAY_ORDERS = {
+    "one-ray": lambda normals: _ccw_order(normals)[:1],
+    "upper-half-plane": lambda normals: [n for n in _ccw_order(normals) if n[1] > 0],
+}
 
 
 # The bundled counterexample family.

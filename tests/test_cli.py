@@ -23,6 +23,8 @@ from demyanov.cli import (
     cli_dispatch,
 )
 
+from support import BROKEN_RAY_ORDERS
+
 
 def run(capsys, *argv):
     code = cli_dispatch(list(argv))
@@ -185,6 +187,16 @@ def test_verify_claim_failure_prints_verdict_and_exits_70(monkeypatch, capsys):
     assert out == "PASS holds\nFAIL breaks\n"
     assert "N=" not in out
     assert "claim violated: breaks" in err
+
+
+@pytest.mark.parametrize("order", BROKEN_RAY_ORDERS.values(), ids=list(BROKEN_RAY_ORDERS))
+def test_broken_fan_exits_70_with_error_line(monkeypatch, capsys, order):
+    monkeypatch.setattr("demyanov.converter._ccw_order", order)
+    code, out, err = run(capsys, "convert", "--builtin")
+    assert code == EX_SOFTWARE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from functools import cmp_to_key
 from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import demyanov as dm
 from demyanov import (
@@ -28,6 +28,7 @@ from demyanov.converter import (
 from demyanov.errors import EmptyInputError, FanInvariantError
 
 from support import (
+    BROKEN_RAY_ORDERS,
     MIRROR,
     OMEGA0,
     OMEGA1,
@@ -126,18 +127,53 @@ def test_edge_normals_of_segment_and_point():
     assert ray_representatives(coll(((0, 0),))) == []
 
 
+OMEGA0_RAYS = [(1, 0), (1, 2), (0, 1), (-1, 2), (-1, 0), (-2, -1), (0, -1), (2, -1)]
+
+
 def test_fan_rays_of_builtin_family_in_ccw_order():
     omega = coll(*OMEGA0)
-    assert ray_representatives(omega) == [
-        Direction(1, 0),
-        Direction(1, 2),
-        Direction(0, 1),
-        Direction(-1, 2),
-        Direction(-1, 0),
-        Direction(-2, -1),
-        Direction(0, -1),
-        Direction(2, -1),
+    assert [cell.rays for cell in converter.test_directions(omega)] == [
+        rays
+        for k, ray in enumerate(OMEGA0_RAYS)
+        for rays in ((ray,), (ray, OMEGA0_RAYS[(k + 1) % len(OMEGA0_RAYS)]))
     ]
+    assert ray_representatives(omega) == [Direction(*ray) for ray in OMEGA0_RAYS]
+
+
+@given(mixed_families_st)
+def test_fan_cell_fields_agree_with_their_int_rays(omega):
+    for cell in converter.test_directions(omega):
+        assert all(type(c) is int for ray in cell.rays for c in ray)
+        assert all(gcd(a, b) == 1 for a, b in cell.rays)
+        assert cell.bounds == tuple(Direction(*ray) for ray in cell.rays)
+        assert (cell.kind is CellKind.RAY) == (len(cell.rays) == 1)
+        if len(cell.rays) == 2:
+            assert cell.representative == sector_representative(*cell.bounds)
+        elif cell.rays:
+            assert cell.representative == cell.bounds[0]
+        else:
+            assert cell.representative == Direction(1, 0)
+
+
+@pytest.mark.parametrize("order", BROKEN_RAY_ORDERS.values(), ids=list(BROKEN_RAY_ORDERS))
+def test_broken_ray_order_raises_at_once(monkeypatch, order):
+    # Consecutive rays are checked while the fan is built, not when a
+    # cell's representative is first read.
+    monkeypatch.setattr(converter, "_ccw_order", order)
+    omega = coll(*OMEGA0)
+    with pytest.raises(FanInvariantError):
+        converter.test_directions(omega)
+    with pytest.raises(FanInvariantError):
+        demyanov_convert(omega)
+
+
+def test_converter_path_builds_no_direction(monkeypatch):
+    def no_direction(*args):
+        raise AssertionError("a Direction was built on the converter path")
+
+    monkeypatch.setattr(converter, "Direction", no_direction)
+    result = iterate_until_cycle(dm.builtin_counterexample(), 100)
+    assert (result.preperiod, result.cycle_length) == (1, 4)
 
 
 def test_fan_rays_of_points_and_segment():
@@ -396,6 +432,9 @@ def test_image_constant_inside_each_sector():
             assert converter_image(omega, interior_witness(cell, rng)) == reference
 
 
+# A failing orbit property reports its generated example at once: each
+# shrink step would rerun two whole orbits, holding a failure for minutes.
+@settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(mixed_families_st, affine_maps_st)
 # The vertical mirror on the bundled family, which it maps to itself, and
 # on families made symmetric by adding their mirror images.
