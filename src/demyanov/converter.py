@@ -188,7 +188,12 @@ def test_directions(omega: Collection) -> list[FanCell]:
         # ways, a point has none.
         for i in range(n if n > 1 else 0):
             j = (i + 1) % n
-            on_ray.setdefault(_edge_normal(lifts[i], lifts[j]), []).append((m, i, j))
+            normal = _edge_normal(lifts[i], lifts[j])
+            edges = on_ray.get(normal)
+            if edges is None:
+                on_ray[normal] = [(m, i, j)]
+            else:
+                edges.append((m, i, j))
     if not on_ray:
         return [FanCell(())]
     rays = _ccw_order(list(on_ray))

@@ -3,6 +3,11 @@
 A family document is versioned JSON carrying one vertex list per
 polytope. Coordinates are strings, either an integer literal or "p/q",
 so arbitrary precision survives the trip; floats are rejected outright.
+
+Each literal is checked once against a strict pattern and then built from
+its integer parts: int(n) or Fraction(int(p), int(q)), never parsed a
+second time as a Fraction string. A zero denominator and a part over the
+interpreter's integer digit limit are reported as ParseErrors.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ FORMAT_VERSION = "1"
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
-def _parse_rational(raw, where: str) -> Fraction:
+def _parse_rational(raw, where: str) -> int | Fraction:
     if not isinstance(raw, str):
         raise ParseError(f"{where}: coordinate must be a string, got {type(raw).__name__}")
     if not _RATIONAL_RE.match(raw):
         raise ParseError(f"{where}: {raw!r} is not an integer or p/q rational literal")
+    num, _, den = raw.partition("/")
     try:
-        return Fraction(raw)
+        return Fraction(int(num), int(den)) if den else int(num)
     except ZeroDivisionError:
         raise ParseError(f"{where}: zero denominator in {raw!r}") from None
     except ValueError:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .errors import EmptyInputError
@@ -122,6 +122,8 @@ class Direction:
 
 # Lexicographic order of points, and of polytopes by their vertex keys.
 _sort_key = attrgetter("_key")
+# The (floor(c * 2^32), c) parts of a point key for c = x and c = y.
+_x_part, _y_part = itemgetter(0, 1), itemgetter(2, 3)
 
 
 def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
@@ -208,6 +210,22 @@ def convex_hull(points: Iterable[Point]) -> Polytope:
     interior points collapse away.
     """
     return Polytope(_hull_vertices(points))
+
+
+def bounding_box(polytopes: Iterable[Polytope]) -> tuple:
+    """(min x, max x, min y, max y) over every vertex of the polytopes.
+
+    Each bound is exact: an int where the coordinate is one, else a
+    Fraction. It is read from the stored vertex keys, so comparisons are
+    between ints except among values within 2^-32 of each other.
+    """
+    keys = [k for p in polytopes for k in p._key]
+    return (
+        min(keys, key=_x_part)[1],
+        max(keys, key=_x_part)[1],
+        min(keys, key=_y_part)[3],
+        max(keys, key=_y_part)[3],
+    )
 
 
 def support_value(polytope: Polytope, g: Direction) -> Fraction:

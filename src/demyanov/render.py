@@ -3,9 +3,16 @@
 One panel per member in canonical order, all panels sharing the bounding
 box of the whole collection so shapes stay comparable across panels. The
 layout is fixed: 160 px square panels with a 16 px margin, 4 panels per
-row, and member i drawn in PALETTE[i % 6]. Coordinates are computed in
-exact rationals and formatted with a fixed rule, so identical inputs
-yield byte-identical output everywhere.
+row, and member i drawn in PALETTE[i % 6].
+
+Coordinates are exact and formatted with a fixed rule, so identical inputs
+yield byte-identical output everywhere. The bounding box (read from the
+stored vertex keys), the scale and the offset shared by all panels are
+rationals made once per collection. Each vertex is then placed from its
+stored integer lift (X, Y, W) as an unreduced int pair (numerator,
+denominator), with no Fraction arithmetic per panel or per vertex.
+Rounding half up to 4 places takes the floor of a ratio that a common
+positive factor of the pair leaves unchanged, so no pair is reduced.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .converter import Collection
-from .geometry import Point
+from .geometry import bounding_box
 
 PALETTE = (
     ("#c6dbef", "#2171b5"),
@@ -28,13 +35,14 @@ MARGIN = 16
 PER_ROW = 4
 
 
-def _fmt(value: Fraction) -> str:
-    # Fixed-point decimal, at most 4 places, round half up, exact arithmetic.
-    sign = "-" if value < 0 else ""
-    magnitude = -value if value < 0 else value
-    scaled = (magnitude.numerator * 20_000 + magnitude.denominator) // (2 * magnitude.denominator)
+def _fmt(num: int, den: int) -> str:
+    # num/den (den > 0) in fixed point, at most 4 places, round half up.
+    # The pair need not be reduced: a common positive factor of num and den
+    # leaves the floor unchanged.
+    scaled = (abs(num) * 20_000 + den) // (2 * den)
     if scaled == 0:
         return "0"
+    sign = "-" if num < 0 else ""
     whole, frac = divmod(scaled, 10_000)
     if frac == 0:
         return f"{sign}{whole}"
@@ -43,9 +51,7 @@ def _fmt(value: Fraction) -> str:
 
 def render_svg(omega: Collection) -> str:
     """Render each member of the collection into its own panel."""
-    xs = [v.x for member in omega.members for v in member.vertices]
-    ys = [v.y for member in omega.members for v in member.vertices]
-    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+    min_x, max_x, min_y, max_y = bounding_box(omega.members)
     width_units = max_x - min_x
     height_units = max_y - min_y
     span = max(width_units, height_units)
@@ -53,6 +59,15 @@ def render_svg(omega: Collection) -> str:
     scale = inner / span if span > 0 else Fraction(1)
     pad_x = (inner - width_units * scale) / 2
     pad_y = (inner - height_units * scale) / 2
+    # A vertex (x, y) drawn in the panel at (panel_x, panel_y) lands at
+    # (panel_x + ox + x * scale, panel_y + oy - y * scale). From its lift
+    # (X, Y, W) that is (X * xa + W * (panel_x * xd + xb)) / (W * xd)
+    # across and (W * (panel_y * yd + yb) - Y * ya) / (W * yd) down.
+    ox = MARGIN + pad_x - min_x * scale
+    oy = MARGIN + pad_y + max_y * scale
+    sn, sd = scale.numerator, scale.denominator
+    xa, xb, xd = sn * ox.denominator, ox.numerator * sd, sd * ox.denominator
+    ya, yb, yd = sn * oy.denominator, oy.numerator * sd, sd * oy.denominator
 
     count = len(omega.members)
     cols = min(count, PER_ROW)
@@ -68,11 +83,11 @@ def render_svg(omega: Collection) -> str:
     for i, member in enumerate(omega.members):
         panel_x = (i % PER_ROW) * PANEL_SIZE
         panel_y = (i // PER_ROW) * PANEL_SIZE
-        origin_x = panel_x + MARGIN + pad_x
-        origin_y = panel_y + MARGIN + pad_y
-
-        def to_canvas(v: Point) -> tuple[Fraction, Fraction]:
-            return (origin_x + (v.x - min_x) * scale, origin_y + (max_y - v.y) * scale)
+        bx, by = panel_x * xd + xb, panel_y * yd + yb
+        points = [
+            (_fmt(X * xa + W * bx, W * xd), _fmt(W * by - Y * ya, W * yd))
+            for X, Y, W in [v._lift for v in member.vertices]
+        ]
 
         fill, stroke = PALETTE[i % len(PALETTE)]
         lines.append('<g class="panel">')
@@ -80,18 +95,17 @@ def render_svg(omega: Collection) -> str:
             f'<rect x="{panel_x}" y="{panel_y}" width="{PANEL_SIZE}" '
             f'height="{PANEL_SIZE}" fill="#ffffff" stroke="#cccccc" stroke-width="1"/>'
         )
-        points = [to_canvas(v) for v in member.vertices]
         if len(points) == 1:
             cx, cy = points[0]
-            lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="{stroke}"/>')
+            lines.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{stroke}"/>')
         elif len(points) == 2:
             (x1, y1), (x2, y2) = points
             lines.append(
-                f'<path d="M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}" fill="none" '
+                f'<path d="M {x1} {y1} L {x2} {y2}" fill="none" '
                 f'stroke="{stroke}" stroke-width="2" stroke-linecap="round"/>'
             )
         else:
-            path = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in points)
+            path = " L ".join(f"{x} {y}" for x, y in points)
             lines.append(
                 f'<path d="M {path} Z" fill="{fill}" fill-opacity="0.7" '
                 f'stroke="{stroke}" stroke-width="2" stroke-linejoin="round"/>'

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from demyanov import Collection, Direction, Point, convex_hull
 from demyanov.converter import _ccw_order, affine_image
+from demyanov.render import MARGIN, PALETTE, PANEL_SIZE, PER_ROW
 
 
 def pt(x, y):
@@ -228,6 +229,30 @@ affine_maps_st = st.tuples(
 )
 
 
+def mixed_families(coords_st):
+    """Families mixing points, segments and polygons on the given
+    coordinates, where a member may come with a translated copy of itself
+    or of its first edge, which shares that member's edge normals."""
+    points_st = st.builds(pt, coords_st, coords_st)
+    shapes_st = st.one_of(
+        points_st.map(lambda p: convex_hull([p])),
+        st.lists(points_st, min_size=2, max_size=2, unique=True).map(convex_hull),
+        st.lists(points_st, min_size=3, max_size=5).map(convex_hull),
+    )
+    copies_st = st.none() | st.tuples(coords_st, coords_st, st.booleans())
+
+    def with_copy(member, copy):
+        if copy is None:
+            return [member]
+        dx, dy, edge_only = copy
+        verts = member.vertices[:2] if edge_only else member.vertices
+        return [member, convex_hull(pt(v.x + dx, v.y + dy) for v in verts)]
+
+    return st.lists(st.tuples(shapes_st, copies_st), min_size=1, max_size=4).map(
+        lambda rows: Collection.of(m for member, copy in rows for m in with_copy(member, copy))
+    )
+
+
 def inverse_map(A, t):
     """(A^-1, -A^-1 t): the affine map undoing x -> A x + t."""
     (a, b), (c, d) = A
@@ -311,3 +336,87 @@ def wide_denominator_points(count, seed=0):
         return Fraction(rng.randrange(-10 * q, 10 * q), q)
 
     return [Point(coordinate(), coordinate()) for _ in range(count)]
+
+
+def reference_fmt(value):
+    """A Fraction in fixed point, at most 4 places, rounded half up."""
+    sign = "-" if value < 0 else ""
+    magnitude = -value if value < 0 else value
+    scaled = (magnitude.numerator * 20_000 + magnitude.denominator) // (2 * magnitude.denominator)
+    if scaled == 0:
+        return "0"
+    whole, frac = divmod(scaled, 10_000)
+    if frac == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{f'{frac:04d}'.rstrip('0')}"
+
+
+def reference_canvas_points(omega):
+    """Each member's vertices on the canvas, as Fraction pairs.
+
+    The test-only reference for the renderer's placement: the bounding box
+    by min/max over Fraction coordinates, and each vertex placed by
+    Fraction arithmetic on its coordinates, never on its integer lift.
+    """
+    xs = [v.x for member in omega.members for v in member.vertices]
+    ys = [v.y for member in omega.members for v in member.vertices]
+    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+    width_units = max_x - min_x
+    height_units = max_y - min_y
+    span = max(width_units, height_units)
+    inner = Fraction(PANEL_SIZE - 2 * MARGIN)
+    scale = inner / span if span > 0 else Fraction(1)
+    pad_x = (inner - width_units * scale) / 2
+    pad_y = (inner - height_units * scale) / 2
+    panels = []
+    for i, member in enumerate(omega.members):
+        origin_x = (i % PER_ROW) * PANEL_SIZE + MARGIN + pad_x
+        origin_y = (i // PER_ROW) * PANEL_SIZE + MARGIN + pad_y
+        panels.append(
+            [
+                (origin_x + (v.x - min_x) * scale, origin_y + (max_y - v.y) * scale)
+                for v in member.vertices
+            ]
+        )
+    return panels
+
+
+def reference_render_svg(omega):
+    """The SVG of render_svg, drawn from reference_canvas_points and
+    reference_fmt: the renderer's Fraction route, kept as an oracle."""
+    count = len(omega.members)
+    canvas_w = min(count, PER_ROW) * PANEL_SIZE
+    canvas_h = (count + PER_ROW - 1) // PER_ROW * PANEL_SIZE
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas_w}" height="{canvas_h}" '
+        f'viewBox="0 0 {canvas_w} {canvas_h}">',
+    ]
+    for i, points in enumerate(reference_canvas_points(omega)):
+        panel_x = (i % PER_ROW) * PANEL_SIZE
+        panel_y = (i // PER_ROW) * PANEL_SIZE
+        fill, stroke = PALETTE[i % len(PALETTE)]
+        lines.append('<g class="panel">')
+        lines.append(
+            f'<rect x="{panel_x}" y="{panel_y}" width="{PANEL_SIZE}" '
+            f'height="{PANEL_SIZE}" fill="#ffffff" stroke="#cccccc" stroke-width="1"/>'
+        )
+        text = [(reference_fmt(x), reference_fmt(y)) for x, y in points]
+        if len(text) == 1:
+            (cx, cy), = text
+            lines.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{stroke}"/>')
+        elif len(text) == 2:
+            (x1, y1), (x2, y2) = text
+            lines.append(
+                f'<path d="M {x1} {y1} L {x2} {y2}" fill="none" '
+                f'stroke="{stroke}" stroke-width="2" stroke-linecap="round"/>'
+            )
+        else:
+            path = " L ".join(f"{x} {y}" for x, y in text)
+            lines.append(
+                f'<path d="M {path} Z" fill="{fill}" fill-opacity="0.7" '
+                f'stroke="{stroke}" stroke-width="2" stroke-linejoin="round"/>'
+            )
+        lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

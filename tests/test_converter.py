@@ -39,6 +39,7 @@ from support import (
     coll,
     direction,
     mirror_symmetric,
+    mixed_families,
     poly,
     pt,
     reference_angular_cmp,
@@ -50,30 +51,8 @@ members_st = st.lists(st.builds(pt, coords_st, coords_st), min_size=1, max_size=
 rational_families_st = st.lists(members_st, min_size=1, max_size=4).map(Collection.of)
 
 
-# Families mixing points, segments and polygons on p/q coordinates, where
-# a member may come with a translated copy of itself or of its first edge,
-# which shares that member's edge normals.
 small_coords_st = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
-small_points_st = st.builds(pt, small_coords_st, small_coords_st)
-shapes_st = st.one_of(
-    small_points_st.map(lambda p: convex_hull([p])),
-    st.lists(small_points_st, min_size=2, max_size=2, unique=True).map(convex_hull),
-    st.lists(small_points_st, min_size=3, max_size=5).map(convex_hull),
-)
-copies_st = st.none() | st.tuples(small_coords_st, small_coords_st, st.booleans())
-
-
-def with_copy(member, copy):
-    if copy is None:
-        return [member]
-    dx, dy, edge_only = copy
-    verts = member.vertices[:2] if edge_only else member.vertices
-    return [member, convex_hull(pt(v.x + dx, v.y + dy) for v in verts)]
-
-
-mixed_families_st = st.lists(st.tuples(shapes_st, copies_st), min_size=1, max_size=4).map(
-    lambda rows: Collection.of(m for member, copy in rows for m in with_copy(member, copy))
-)
+mixed_families_st = mixed_families(small_coords_st)
 
 
 def small_family(seed):

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from demyanov import Direction, Point, Polytope, convex_hull, exposed_face
 from demyanov.converter import affine_image
 from demyanov.errors import EmptyInputError
-from demyanov.geometry import _joined_text, _sort_key, support_value
+from demyanov.geometry import _joined_text, _sort_key, bounding_box, support_value
 
 from support import (
     MIRROR,
@@ -411,3 +411,17 @@ def test_exposed_face_commutes_with_affine_maps(points, phi, g):
     assert exposed_face(affine_polytope(hull, A, t), g) == affine_polytope(
         exposed_face(hull, pulled_back(A, g)), A, t
     )
+
+
+# Values 10^-12 apart share their floor(c * 2^32), so only the exact part of
+# each key tells them apart.
+_THIRD, _TINY = Fraction(1, 3), Fraction(1, 10**12)
+
+
+@given(st.lists(point_lists_st.map(convex_hull), min_size=1, max_size=4))
+@example([poly((_THIRD, 0)), poly((_THIRD + _TINY, -_TINY)), poly((_THIRD - _TINY, _TINY))])
+@example([poly((_THIRD, 2 * _TINY), (_THIRD - _TINY, _TINY)), poly((_THIRD + _TINY, _TINY))])
+def test_bounding_box_matches_fraction_min_max(polytopes):
+    xs = [v.x for p in polytopes for v in p.vertices]
+    ys = [v.y for p in polytopes for v in p.vertices]
+    assert bounding_box(polytopes) == (min(xs), max(xs), min(ys), max(ys))

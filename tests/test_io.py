@@ -4,9 +4,18 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from demyanov import builtin_counterexample, parse_family, serialize_family
+from demyanov import (
+    Collection,
+    builtin_counterexample,
+    convex_hull,
+    parse_family,
+    render_svg,
+    serialize_family,
+)
 from demyanov.errors import EmptyInputError, ParseError
+from demyanov.familyio import _RATIONAL_RE, _parse_rational
 
 from support import coll, poly, wide_denominator_points
 
@@ -115,8 +124,7 @@ def test_parse_cost_is_bounded_on_large_denominators():
     assert set(omega.members[0].vertices) <= set(points)
 
 
-@pytest.mark.skipif(not _DIGIT_LIMIT, reason="interpreter has no limit on integer digits")
-def test_parse_cost_is_bounded_on_digit_limit_fibonacci_ratios():
+def fibonacci_ratio_document():
     # Consecutive Fibonacci numbers are the worst case of Euclid's
     # algorithm; their ratios, at one digit under the limit, all lie within
     # far less than 2**-32 of the golden ratio. About 1 MB of them.
@@ -126,9 +134,94 @@ def test_parse_cost_is_bounded_on_digit_limit_fibonacci_ratios():
     assert len(str(fib[-1])) == _DIGIT_LIMIT - 1
     ratios = [f"{b}/{a}" for a, b in zip(fib[-62:], fib[-61:])]
     polytopes = [[ratios[i:i + 2] for i in range(j, j + 4)] for j in range(0, 60, 4)]
-    text = json.dumps({"version": "1", "polytopes": polytopes})
+    return json.dumps({"version": "1", "polytopes": polytopes})
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="interpreter has no limit on integer digits")
+def test_parse_cost_is_bounded_on_digit_limit_fibonacci_ratios():
+    text = fibonacci_ratio_document()
     assert len(text) > 10**6
     started = time.perf_counter()
     omega = parse_family(text)
     assert time.perf_counter() - started < 2
     assert len(omega) == 15
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="interpreter has no limit on integer digits")
+def test_render_cost_is_bounded_on_digit_limit_fibonacci_ratios():
+    omega = parse_family(fibonacci_ratio_document())
+    started = time.perf_counter()
+    svg = render_svg(omega)
+    assert time.perf_counter() - started < 2
+    assert svg.count('<g class="panel">') == 15
+
+
+def test_render_cost_is_bounded_on_large_denominators():
+    points = wide_denominator_points(3000)
+    omega = Collection.of(convex_hull(points[k : k + 3]) for k in range(0, 3000, 3))
+    started = time.perf_counter()
+    svg = render_svg(omega)
+    assert time.perf_counter() - started < 2
+    assert svg.count('<g class="panel">') == len(omega)
+
+
+# Literals _RATIONAL_RE accepts: a sign, leading zeros, and parts up to
+# just past the interpreter's digit limit (or the default one, 4300, where
+# none is set).
+_LIMIT = _DIGIT_LIMIT or 4300
+_parts_st = st.builds(
+    lambda zeros, digits: "0" * zeros + digits,
+    st.integers(0, 3),
+    st.one_of(
+        st.integers(0, 10**6).map(str),
+        st.integers(_LIMIT - 6, _LIMIT + 2).map(lambda n: "7" * n),
+    ),
+)
+literals_st = st.builds(
+    lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+    st.sampled_from(["", "-"]),
+    _parts_st,
+    st.none() | _parts_st,
+)
+
+
+@given(literals_st)
+@example("-0")
+@example("0/7")
+@example("-0/7")
+@example("6/4")
+@example("-006/0004")
+@example("1/0")
+@example("-00/000")
+@example("1" * _LIMIT)
+@example("-" + "1" * _LIMIT + "/" + "3" * _LIMIT)
+@example("0" + "1" * _LIMIT)
+@example("1/" + "2" * (_LIMIT + 1))
+def test_parse_rational_agrees_with_fraction_literals(raw):
+    # Either both routes give the same rational, or Fraction's own parser
+    # fails and the document parser reports the same cause as a ParseError.
+    assert _RATIONAL_RE.match(raw)
+    try:
+        expected = Fraction(raw)
+    except ZeroDivisionError:
+        with pytest.raises(ParseError, match=r"^w: zero denominator in "):
+            _parse_rational(raw, "w")
+    except ValueError:
+        with pytest.raises(ParseError, match=r"^w: literal exceeds the integer digit limit$"):
+            _parse_rational(raw, "w")
+    else:
+        assert _parse_rational(raw, "w") == expected
+
+
+def test_parse_error_text_for_zero_denominator():
+    with pytest.raises(ParseError) as err:
+        parse_family('{"version":"1","polytopes":[[["0","0"]],[["3","-4/00"]]]}')
+    assert str(err.value) == "polytope 1 vertex 0: zero denominator in '-4/00'"
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="interpreter has no limit on integer digits")
+def test_parse_error_text_for_digit_limit():
+    literal = "1/" + "9" * (_DIGIT_LIMIT + 1)
+    with pytest.raises(ParseError) as err:
+        parse_family(json.dumps({"version": "1", "polytopes": [[["0", "0"], ["2", literal]]]}))
+    assert str(err.value) == "polytope 0 vertex 1: literal exceeds the integer digit limit"

@@ -1,7 +1,33 @@
-from demyanov import builtin_counterexample, demyanov_convert, render_svg
-from demyanov.render import PALETTE
+import hashlib
+from fractions import Fraction
 
-from support import coll
+from hypothesis import example, given, strategies as st
+
+from demyanov import builtin_counterexample, demyanov_convert, render_svg
+from demyanov.converter import affine_image
+from demyanov.render import PALETTE, _fmt
+
+from support import (
+    coll,
+    mixed_families,
+    reference_canvas_points,
+    reference_fmt,
+    reference_render_svg,
+)
+
+# Coordinates land exactly half a unit of the 4th decimal past a
+# multiple of 1e-4 on the canvas, where rounding half up decides: the
+# spans are 128 px = 128 units, so the scale is 1 and the offsets survive
+# unscaled, toward the left (x), right (-x) and bottom (y) of the panel.
+HALF_UP_TIES = (
+    coll(((0, 0), (128, 0)), ((Fraction(1, 20000), 0),)),
+    coll(((-128, 0), (0, 0)), ((Fraction(-1, 20000), 0),)),
+    coll(
+        ((0, -128), (0, 0)),
+        ((0, Fraction(-3, 20000)),),
+        ((Fraction(-7, 3), Fraction(-9, 20000)),),
+    ),
+)
 
 
 def test_render_builtin_family_has_four_panels():
@@ -45,3 +71,61 @@ def test_render_style_indices_select_palette_entries():
     svg = render_svg(demyanov_convert(builtin_counterexample()))
     for _, stroke in PALETTE:
         assert svg.count(f'stroke="{stroke}"') == 2
+
+
+def is_half_up_tie(c):
+    return (c * 20000).denominator == 1 and (c * 20000) % 2 == 1
+
+
+def test_tie_examples_land_on_ties():
+    for omega in HALF_UP_TIES:
+        coordinates = [c for panel in reference_canvas_points(omega) for p in panel for c in p]
+        assert any(map(is_half_up_tie, coordinates))
+
+
+@given(mixed_families(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9))))
+@example(coll(((Fraction(-3, 7), Fraction(5, 2)),)))  # a single point: the span is 0
+@example(coll(((Fraction(-1, 2), -3), (Fraction(5, 3), 1)), ((-2, 0), (1, Fraction(-1, 3)))))
+@example(coll(((0, -40), (1, 40)), ((Fraction(1, 3), 0), (Fraction(-2, 3), 1), (0, 2))))  # tall
+@example(coll(((-40, 0), (40, Fraction(1, 7))), ((Fraction(-5, 9), 0),)))  # wide
+@example(HALF_UP_TIES[0])
+@example(HALF_UP_TIES[1])
+@example(HALF_UP_TIES[2])
+def test_render_matches_fraction_reference(omega):
+    # The int route through the vertex lifts against the Fraction route
+    # through the coordinates, and the panel layout is blind to a positive
+    # scaling and translation of the whole family.
+    svg = render_svg(omega)
+    assert svg == reference_render_svg(omega)
+    c, t = Fraction(7, 3), (Fraction(-5, 2), Fraction(1, 9))
+    assert render_svg(affine_image(omega, ((c, 0), (0, c)), t)) == svg
+
+
+def test_fmt_rounds_unreduced_pairs_half_up_in_either_sign():
+    for num in range(-300, 301):
+        expected = reference_fmt(Fraction(num, 20000))
+        for k in (1, 3, 10**30):
+            assert _fmt(num * k, 20000 * k) == expected
+    assert (_fmt(1, 20000), _fmt(-1, 20000), _fmt(3, 20000), _fmt(-3, 20000)) == (
+        "0.0001",
+        "-0.0001",
+        "0.0002",
+        "-0.0002",
+    )
+    assert _fmt(-1, 20001) == "0"
+
+
+def test_render_bytes_are_pinned():
+    # Frozen SVG digests. The layout scales and centres the bounding box, so
+    # the similar image renders to the same bytes; the sheared one does not.
+    omega = builtin_counterexample()
+    scale = Fraction(2, 3)
+    similar = affine_image(omega, ((scale, 0), (0, scale)), (Fraction(1, 5), Fraction(-3, 7)))
+    sheared = affine_image(omega, ((scale, Fraction(1, 5)), (0, Fraction(-3, 7))))
+
+    def digest(o):
+        return hashlib.sha256(render_svg(o).encode()).hexdigest()
+
+    assert digest(omega) == "12cd7cbfb508bafb622e47471422225f13ea501de63829b8677eb7b3c0009a80"
+    assert digest(similar) == "12cd7cbfb508bafb622e47471422225f13ea501de63829b8677eb7b3c0009a80"
+    assert digest(sheared) == "f896199a3987632d00c9bcb5d3a6d66774660fd54f2a78a6aa646076e4f90843"
