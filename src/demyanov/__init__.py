@@ -17,7 +17,6 @@ from .converter import (
 from .dynamics import (
     ClaimVerdict,
     CycleResult,
-    FamilyParams,
     SearchReport,
     builtin_counterexample,
     iterate_until_cycle,
@@ -49,7 +48,6 @@ __all__ = [
     "DemyanovError",
     "Direction",
     "EmptyInputError",
-    "FamilyParams",
     "FanInvariantError",
     "GenerationFailedError",
     "ParseError",

@@ -10,7 +10,6 @@ from typing import Sequence
 from .converter import demyanov_convert
 from .dynamics import (
     DEFAULT_CAP,
-    FamilyParams,
     builtin_counterexample,
     iterate_until_cycle,
     search_cycles,
@@ -183,7 +182,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    params = FamilyParams(args.num_polytopes, args.max_vertices, args.coord_bound)
+    params = (args.num_polytopes, args.max_vertices, args.coord_bound)
     report = search_cycles(params, args.instances, args.cap, args.seed)
     print(f"instances={report.instances_run}")
     print(f"cap_exceeded={report.cap_exceeded}")

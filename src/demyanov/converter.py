@@ -23,16 +23,16 @@ the distinct normals counterclockwise by an exact int key (the half-plane,
 then floor(-a/b * 2^k) with 2^k above every product |b1 b2|) and lists,
 on each ray cell, the member edges normal to that ray. Cells keep their
 rays as those primitive int pairs, each consecutive pair checked in ints;
-a cell's Directions and witness are made only when read, which the sweep
-never does. demyanov_convert sweeps the fan once, reading those lists: a
-member whose edge (v_i, v_{i+1}) has the current ray as outward normal
-exposes v_i just before the ray, the edge on it and v_{i+1} after it, and
-every other member keeps its face. Counting per vertex the members whose
-face it is keeps the union's mask, so a step costs time linear in cells
-plus member vertices.
+a cell's witness Direction is made from its own rays only when read,
+which the sweep never does. demyanov_convert sweeps the fan once, reading
+those lists: a member whose edge (v_i, v_{i+1}) has the current ray as
+outward normal exposes v_i just before the ray, the edge on it and
+v_{i+1} after it, and every other member keeps its face. Counting per
+vertex the members whose face it is keeps the union's mask, so a step
+costs time linear in cells plus member vertices.
 sampled_convert and converter_image instead score every member vertex at
-each direction, comparing values by cross-multiplying with W; sharing
-none of the sweep, sampled_convert checks demyanov_convert.
+each direction (a, b), comparing values by cross-multiplying with W;
+sharing none of the sweep, sampled_convert checks demyanov_convert.
 """
 
 from __future__ import annotations
@@ -93,9 +93,11 @@ class FanCell:
     rays holds the delimiting rays as primitive int pairs (a, b): one for
     a RAY cell, the counterclockwise (start, end) pair for a SECTOR cell,
     and none for the all-directions sector of a fan with no rays at all.
-    kind, bounds (the rays as Directions) and representative are built
-    only when read; a sector's representative comes from
-    sector_representative, so it sits strictly inside the open sector.
+    kind and representative, the cell's witness direction, are made from
+    rays when read. A RAY cell's witness is its ray. A sector from (a, b)
+    to (c, d) takes (a + c, b + d), reduced, which lies strictly inside
+    it; an exact half turn, where that sum is zero, takes (-b, a), its
+    start turned a quarter turn. The rayless fan takes (1, 0).
 
     edges lists, on a RAY cell, the member edges (m, i, j) whose outward
     normal is the ray: m is the member's position in omega.members and i, j
@@ -112,14 +114,11 @@ class FanCell:
         return CellKind.RAY if len(self.rays) == 1 else CellKind.SECTOR
 
     @property
-    def bounds(self) -> tuple[Direction, ...]:
-        return tuple(Direction(a, b) for a, b in self.rays)
-
-    @property
     def representative(self) -> Direction:
-        if len(self.rays) == 2:
-            return sector_representative(*self.bounds)
-        return Direction(*self.rays[0]) if self.rays else Direction(1, 0)
+        if len(self.rays) < 2:
+            return Direction(*self.rays[0]) if self.rays else Direction(1, 0)
+        (a, b), (c, d) = self.rays
+        return Direction(a + c, b + d) if a + c or b + d else Direction(-b, a)
 
 
 def _edge_normal(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int]:
@@ -153,21 +152,6 @@ def _check_sector(start: tuple[int, int], end: tuple[int, int]) -> None:
     cross = a * d - b * c
     if cross <= 0 and (cross or c != -a or d != -b):
         raise FanInvariantError(f"rays {start} and {end} do not bound a sector")
-
-
-def sector_representative(start: Direction, end: Direction) -> Direction:
-    """A primitive direction strictly inside the open sector from start
-    counterclockwise to end.
-
-    For a sector narrower than a half turn this is the reduced vector sum
-    of the bounds; for an exact half turn (end opposite to start) it is
-    start rotated a quarter turn counterclockwise. Equal bounds or
-    anything wider mean the bounds were not consecutive fan rays, a caller
-    bug reported as FanInvariantError.
-    """
-    _check_sector((start.a, start.b), (end.a, end.b))
-    a, b = start.a + end.a, start.b + end.b
-    return start.rotated_ccw() if a == 0 and b == 0 else Direction(a, b)
 
 
 def test_directions(omega: Collection) -> list[FanCell]:
@@ -207,7 +191,7 @@ def test_directions(omega: Collection) -> list[FanCell]:
 
 def converter_image(omega: Collection, g: Direction) -> Polytope:
     """conv of the union of every member's exposed face in direction g."""
-    return _collect_images(omega, (g,)).members[0]
+    return _collect_images(omega, [(g.a, g.b)]).members[0]
 
 
 def _vertex_index(omega: Collection) -> tuple[list[Point], list[list[int]]]:
@@ -226,14 +210,13 @@ def _images(points: list[Point], masks: Iterable[int]) -> Collection:
     )
 
 
-def _collect_images(omega: Collection, directions: Iterable[Direction]) -> Collection:
-    # Brute force: every member vertex scored at every direction.
+def _collect_images(omega: Collection, directions: Iterable[tuple[int, int]]) -> Collection:
+    # Brute force: every member vertex scored at every direction (a, b).
     points, members = _vertex_index(omega)
     coords = [p._lift for p in points]
     weights = [w for _, _, w in coords]
     masks = []
-    for g in directions:
-        a, b = g.a, g.b
+    for a, b in directions:
         values = [x * a + y * b for x, y, _ in coords]
         attaining = 0
         for member in members:
@@ -292,21 +275,20 @@ def sampled_convert(omega: Collection, bound: int) -> Collection:
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    # gcd(0, 0) == 0, so the zero vector is left out with the rest.
     directions = [
-        Direction(a, b)
+        (a, b)
         for a in range(-bound, bound + 1)
         for b in range(-bound, bound + 1)
-        if (a, b) != (0, 0) and gcd(abs(a), abs(b)) == 1
+        if gcd(a, b) == 1
     ]
     return _collect_images(omega, directions)
 
 
 def representative_bound(omega: Collection) -> int:
     """Largest coordinate magnitude among the fan-cell representatives."""
-    return max(
-        max(abs(cell.representative.a), abs(cell.representative.b))
-        for cell in test_directions(omega)
-    )
+    witnesses = [cell.representative for cell in test_directions(omega)]
+    return max(max(abs(g.a), abs(g.b)) for g in witnesses)
 
 
 def affine_image(omega: Collection, A, t=(0, 0)) -> Collection:

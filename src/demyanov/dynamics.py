@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .converter import (
@@ -167,15 +168,6 @@ def random_family(
 
 
 @dataclass(frozen=True)
-class FamilyParams:
-    """Generator parameters for random families."""
-
-    num_polytopes: int
-    max_vertices: int
-    coord_bound: int
-
-
-@dataclass(frozen=True)
 class SearchReport:
     """Aggregate of a cycle-length survey over seeded instances.
 
@@ -192,7 +184,7 @@ class SearchReport:
 
 
 def search_cycles(
-    params: FamilyParams | None,
+    params: tuple[int, int, int] | None,
     num_instances: int,
     cap: int,
     base_seed: int,
@@ -201,20 +193,17 @@ def search_cycles(
     """Iterate many seeded families and tally their minimal cycle lengths.
 
     Instance i draws its family with seed base_seed + i, from random_family
-    under params unless family_source overrides the generator. Instances
-    that exceed the cap are counted, never fatal. The report depends only
-    on the seeds, not on execution order.
+    under params, the tuple (num_polytopes, max_vertices, coord_bound),
+    unless family_source overrides the generator. Instances that exceed
+    the cap are counted, never fatal. The report depends only on the
+    seeds, not on execution order.
     """
     if num_instances < 1:
         raise ValueError("num_instances must be at least 1")
     if family_source is None:
         if params is None:
             raise ValueError("params are required when no family_source is given")
-
-        def family_source(seed: int) -> Collection:
-            return random_family(
-                params.num_polytopes, params.max_vertices, params.coord_bound, seed
-            )
+        family_source = partial(random_family, *params)
 
     histogram: dict[int, int] = {}
     cap_exceeded = 0

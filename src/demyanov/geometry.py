@@ -115,10 +115,6 @@ class Direction:
             object.__setattr__(self, "a", self.a // g)
             object.__setattr__(self, "b", self.b // g)
 
-    def rotated_ccw(self) -> Direction:
-        """The ray a quarter turn counterclockwise from this one."""
-        return Direction(-self.b, self.a)
-
 
 # Lexicographic order of points, and of polytopes by their vertex keys.
 _sort_key = attrgetter("_key")

@@ -21,9 +21,9 @@ from demyanov import (
 from demyanov import converter
 from demyanov.converter import (
     CellKind,
+    FanCell,
     affine_image,
     representative_bound,
-    sector_representative,
 )
 from demyanov.errors import EmptyInputError, FanInvariantError
 
@@ -61,15 +61,14 @@ def small_family(seed):
 
 
 def interior_witness(cell, rng):
-    start, end = cell.bounds
-    if (end.a, end.b) == (-start.a, -start.b):
+    (a, b), (c, d) = cell.rays
+    if (c, d) == (-a, -b):
         # Half-plane sector: positive normal component, any tangential one.
-        normal = start.rotated_ccw()
+        c, d = -b, a
         lam, mu = rng.randint(-9, 9), rng.randint(1, 9)
     else:
         lam, mu = rng.randint(1, 9), rng.randint(1, 9)
-        normal = end
-    return Direction(lam * start.a + mu * normal.a, lam * start.b + mu * normal.b)
+    return Direction(lam * a + mu * c, lam * b + mu * d)
 
 
 def test_collection_of_dedupes_and_sorts():
@@ -124,14 +123,17 @@ def test_fan_cell_fields_agree_with_their_int_rays(omega):
     for cell in converter.test_directions(omega):
         assert all(type(c) is int for ray in cell.rays for c in ray)
         assert all(gcd(a, b) == 1 for a, b in cell.rays)
-        assert cell.bounds == tuple(Direction(*ray) for ray in cell.rays)
         assert (cell.kind is CellKind.RAY) == (len(cell.rays) == 1)
+        g = cell.representative
         if len(cell.rays) == 2:
-            assert cell.representative == sector_representative(*cell.bounds)
+            # Strictly inside the open sector, also where it is a half turn.
+            (a, b), (c, d) = cell.rays
+            assert a * g.b - b * g.a > 0
+            assert g.a * d - g.b * c > 0
         elif cell.rays:
-            assert cell.representative == cell.bounds[0]
+            assert (g.a, g.b) == cell.rays[0]
         else:
-            assert cell.representative == Direction(1, 0)
+            assert g == Direction(1, 0)
 
 
 @pytest.mark.parametrize("order", BROKEN_RAY_ORDERS.values(), ids=list(BROKEN_RAY_ORDERS))
@@ -243,16 +245,9 @@ def test_fan_rays_are_in_reference_angular_order(omega):
 
 
 def test_sector_representative_examples():
-    assert sector_representative(Direction(0, -1), Direction(2, -1)) == Direction(1, -1)
-    assert sector_representative(Direction(1, 0), Direction(-1, 0)) == Direction(0, 1)
-    assert sector_representative(Direction(2, -1), Direction(1, 0)) == Direction(3, -1)
-
-
-def test_sector_representative_rejects_degenerate_and_reflex():
-    with pytest.raises(FanInvariantError):
-        sector_representative(Direction(1, 0), Direction(2, 0))
-    with pytest.raises(FanInvariantError):
-        sector_representative(Direction(1, 0), Direction(0, -1))
+    assert FanCell(((0, -1), (2, -1))).representative == Direction(1, -1)
+    assert FanCell(((1, 0), (-1, 0))).representative == Direction(0, 1)
+    assert FanCell(((2, -1), (1, 0))).representative == Direction(3, -1)
 
 
 def test_test_directions_cell_counts():
@@ -266,7 +261,7 @@ def test_test_directions_of_point_family_is_single_sector():
     cells = converter.test_directions(coll(((0, 0),), ((1, 1),)))
     assert len(cells) == 1
     assert cells[0].kind is CellKind.SECTOR
-    assert cells[0].bounds == ()
+    assert cells[0].rays == ()
     assert cells[0].representative == Direction(1, 0)
 
 
@@ -392,7 +387,7 @@ def test_sector_representative_choice_is_irrelevant():
         expected = demyanov_convert(omega)
         witnesses = []
         for cell in converter.test_directions(omega):
-            if cell.kind is CellKind.SECTOR and cell.bounds:
+            if len(cell.rays) == 2:
                 witnesses.append(interior_witness(cell, rng))
             else:
                 witnesses.append(cell.representative)

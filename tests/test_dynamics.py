@@ -5,7 +5,6 @@ import pytest
 from demyanov import (
     Collection,
     Direction,
-    FamilyParams,
     Point,
     builtin_counterexample,
     collection_digest,
@@ -13,10 +12,13 @@ from demyanov import (
     demyanov_convert,
     iterate_until_cycle,
     random_family,
+    sampled_convert,
     search_cycles,
+    serialize_family,
     verify_claim,
 )
-from demyanov.converter import affine_image
+from demyanov.cli import cli_dispatch
+from demyanov.converter import affine_image, representative_bound
 from demyanov.errors import CapExceededError, GenerationFailedError
 
 from support import MIRROR, OMEGA0, OMEGA1, OMEGA2, OMEGA3, OMEGA4, coll, poly
@@ -29,6 +31,32 @@ def test_builtin_counterexample_members():
     with_origin = [m for m in omega if Point(0, 0) in m.vertices]
     assert with_origin == [poly((1, 2), (-1, 2), (0, 0))]
     assert affine_image(omega, MIRROR) == omega
+
+
+# Three triangles on the builtin's box [-2, 2] x [0, 2], symmetric under
+# x -> -x, whose orbit also reaches a cycle of length 4.
+THREE_MEMBER_WITNESS = (
+    ((-1, 0), (1, 0), (0, 1)),
+    ((-2, 1), (-1, 1), (1, 2)),
+    ((-1, 2), (1, 1), (2, 1)),
+)
+
+
+def test_three_member_family_reaches_length_four_cycle(tmp_path, capsys):
+    omega = coll(*THREE_MEMBER_WITNESS)
+    assert affine_image(omega, MIRROR) == omega
+    result = iterate_until_cycle(omega, 100)
+    assert (result.preperiod, result.cycle_length) == (2, 4)
+    assert [len(state) for state in result.trajectory] == [3, 14, 14, 16, 12, 14, 14]
+    for state, image in zip(result.trajectory, result.trajectory[1:]):
+        assert sampled_convert(state, representative_bound(state)) == image
+    assert result.canonical_hashes[2] == (
+        "1eea58caeba90c31cd98570168820ab6eba952865e6b70adc705938293567201"
+    )
+    document = tmp_path / "witness.json"
+    document.write_text(serialize_family(omega))
+    assert cli_dispatch(["iterate", "--in", str(document)]) == 0
+    assert capsys.readouterr().out == "N=2 L=4\n"
 
 
 def test_builtin_orbit_reaches_length_four_cycle():
@@ -122,7 +150,7 @@ def test_random_family_respects_bounds():
 
 
 def test_search_cycles_deterministic():
-    params = FamilyParams(3, 3, 2)
+    params = (3, 3, 2)
     a = search_cycles(params, 25, 1000, base_seed=9)
     b = search_cycles(params, 25, 1000, base_seed=9)
     assert a == b
@@ -161,4 +189,4 @@ def test_search_cycles_requires_params_or_source():
     with pytest.raises(ValueError):
         search_cycles(None, 5, 100, base_seed=0)
     with pytest.raises(ValueError):
-        search_cycles(FamilyParams(1, 1, 1), 0, 100, base_seed=0)
+        search_cycles((1, 1, 1), 0, 100, base_seed=0)

@@ -1,3 +1,4 @@
+import importlib
 import re
 from pathlib import Path
 
@@ -14,7 +15,6 @@ PUBLIC_NAMES = [
     "DemyanovError",
     "Direction",
     "EmptyInputError",
-    "FamilyParams",
     "FanInvariantError",
     "GenerationFailedError",
     "ParseError",
@@ -57,3 +57,19 @@ def test_readme_quickstart_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README quickstart", "exec"), {})
     assert capsys.readouterr().out == "1 4\n"
+
+
+def test_readme_names_resolve_where_it_places_them():
+    # Every backticked name in a sentence's lead-up to "live(s) in
+    # `demyanov.converter`" or "`demyanov.geometry`" is an attribute there,
+    # so a deleted helper cannot stay documented.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    claims = re.findall(r"([^.]*)\blives? in `demyanov\.(converter|geometry)`", text)
+    placed = [
+        (re.match(r"\w+", item).group(), module)
+        for lead, module in claims
+        for item in re.findall(r"`([^`]+)`", lead)
+    ]
+    assert {"FanCell", "affine_image", "support_value"} <= {name for name, _ in placed}
+    for name, module in placed:
+        assert hasattr(importlib.import_module(f"demyanov.{module}"), name), (module, name)
