@@ -24,12 +24,13 @@ then floor(-a/b * 2^k) with 2^k above every product |b1 b2|) and lists,
 on each ray cell, the member edges normal to that ray. Cells keep their
 rays as those primitive int pairs, each consecutive pair checked in ints;
 a cell's witness Direction is made from its own rays only when read,
-which the sweep never does. demyanov_convert sweeps the fan once, reading
+which the sweep never does. demyanov_convert sweeps the rays once, reading
 those lists: a member whose edge (v_i, v_{i+1}) has the current ray as
 outward normal exposes v_i just before the ray, the edge on it and
-v_{i+1} after it, and every other member keeps its face. Counting per
-vertex the members whose face it is keeps the union's mask, so a step
-costs time linear in cells plus member vertices.
+v_{i+1} after it, and every other member keeps its face; the open sector
+after the ray has the faces past it. Counting per vertex the members
+whose face it is keeps the union's mask, so a step costs time linear in
+rays plus member vertices.
 sampled_convert and converter_image instead score every member vertex at
 each direction (a, b), comparing values by cross-multiplying with W;
 sharing none of the sweep, sampled_convert checks demyanov_convert.
@@ -203,11 +204,15 @@ def _vertex_index(omega: Collection) -> tuple[list[Point], list[list[int]]]:
 
 
 def _images(points: list[Point], masks: Iterable[int]) -> Collection:
-    # Distinct cells often share one attaining set; hull each only once.
-    return Collection.of(
-        convex_hull([p for i, p in enumerate(points) if mask >> i & 1])
-        for mask in dict.fromkeys(masks)
-    )
+    # Hull each distinct attaining set once, on the points of its set bits.
+    hulls = []
+    for mask in dict.fromkeys(masks):
+        picked = []
+        while mask:
+            picked.append(points[(mask & -mask).bit_length() - 1])
+            mask &= mask - 1
+        hulls.append(convex_hull(picked))
+    return Collection.of(hulls)
 
 
 def _collect_images(omega: Collection, directions: Iterable[tuple[int, int]]) -> Collection:
@@ -237,20 +242,20 @@ def _collect_images(omega: Collection, directions: Iterable[tuple[int, int]]) ->
 
 def demyanov_convert(omega: Collection) -> Collection:
     """One application of the converter: the set of images over all
-    nonzero directions, computed by one sweep of the fan cells."""
+    nonzero directions, computed by one sweep over the fan's rays."""
     cells = test_directions(omega)
     points, members = _vertex_index(omega)
-    # Each cell's member edges (m, i, j), with i and j as vertex indices.
-    steps = [[(m, members[m][i], members[m][j]) for m, i, j in c.edges] for c in cells]
+    # Each ray's member edges (m, i, j), with i and j as vertex indices.
+    steps = [[(m, members[m][i], members[m][j]) for m, i, j in c.edges] for c in cells if c.edges]
     # Past the normal of its edge (v_i, v_j) a member's face is v_j, so one
-    # pass over the cells leaves each member at its face before the first.
+    # pass over the rays leaves each member at its face before the first.
     face = [member[0] for member in members]
     for edges in steps:
         for m, _, j in edges:
             face[m] = j
     count = Counter(face)  # vertex index -> members whose face it is
     mask = sum(1 << i for i in count)
-    masks = []
+    masks = [] if steps else [mask]
     for edges in steps:
         before = mask
         for _, i, j in edges:
@@ -258,9 +263,9 @@ def demyanov_convert(omega: Collection) -> Collection:
             count[j] += 1
         for _, i, j in edges:
             mask = (mask if count[i] else mask & ~(1 << i)) | 1 << j
-        # On a ray each member with an edge there exposes both faces; a
-        # sector has no edges and keeps the mask.
-        masks.append(before | mask)
+        # On a ray each member with an edge there exposes both faces; the
+        # open sector after it, the faces past the ray.
+        masks += before | mask, mask
     return _images(points, masks)
 
 

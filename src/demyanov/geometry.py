@@ -4,7 +4,8 @@ Every scalar is an arbitrary-precision rational and every predicate is
 exact, so directions that sit right on a face boundary are classified
 correctly instead of being lost to rounding. Polytopes are stored in a
 canonical vertex order, which makes value equality coincide with
-point-set equality and lets collections be deduplicated by hashing.
+point-set equality and lets collections be deduplicated by hashing. The
+hull's output is canonical as built; only other vertex tuples are checked.
 
 Predicates run on plain ints, not on Fraction arithmetic: each point is
 lifted once to homogeneous integers (X, Y, W) with (x, y) = (X/W, Y/W),
@@ -24,7 +25,7 @@ coordinate c = n/d the key holds the int (n << 32) // d = floor(c * 2^32),
 then c exactly: the int n where d = 1, else the Fraction. So only values
 within 2^-32 of each other, in practice equal ones, compare exactly. Each
 Polytope likewise stores the tuple of its vertices' keys once, which
-validation and the ordering of collections read.
+validation, equality and the ordering of collections read.
 """
 
 from __future__ import annotations
@@ -122,33 +123,40 @@ _sort_key = attrgetter("_key")
 _x_part, _y_part = itemgetter(0, 1), itemgetter(2, 3)
 
 
+class _Hull(tuple):  # canonical as built: Polytope takes it unchecked
+    __slots__ = ()
+
+
 def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
     """Extreme points in canonical order (monotone chain on lifted ints).
 
     Canonical order is counterclockwise starting at the lexicographically
     smallest vertex; collinear interior points and duplicates are dropped.
+    Both chains grow in one pass, turning strictly left and right; sorting
+    puts duplicates side by side, so the turn tests pop them too.
     """
     pts = sorted(points, key=_sort_key)
     if not pts:
         raise EmptyInputError("convex hull of an empty point set")
-    if pts[0] == pts[-1]:
-        return (pts[0],)
-    return tuple(_chain(pts) + _chain(reversed(pts)))
-
-
-def _chain(pts: Iterable[Point]) -> list[Point]:
-    # One monotone chain, without its last point (the next chain's first).
-    # Sorting puts duplicates side by side, so the turn test pops them too.
-    chain: list[Point] = []
+    if pts[0]._key == pts[-1]._key:
+        return _Hull((pts[0],))
+    lower, upper = [], []
     for p in pts:
         rx, ry, rw = p._lift
-        while len(chain) > 1:
-            (px, py, pw), (qx, qy, qw) = chain[-2]._lift, chain[-1]._lift
+        while len(lower) > 1:
+            (px, py, pw), (qx, qy, qw) = lower[-2]._lift, lower[-1]._lift
             if px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx) > 0:
                 break
-            chain.pop()
-        chain.append(p)
-    return chain[:-1]
+            lower.pop()
+        lower.append(p)
+        while len(upper) > 1:
+            (px, py, pw), (qx, qy, qw) = upper[-2]._lift, upper[-1]._lift
+            if px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx) < 0:
+                break
+            upper.pop()
+        upper.append(p)
+    # Both chains run from pts[0] to pts[-1]; the upper one, reversed, closes the cycle.
+    return _Hull(lower[:-1] + upper[:0:-1])
 
 
 def _is_canonical(verts: tuple[Point, ...], keys: tuple) -> bool:
@@ -181,22 +189,27 @@ class Polytope:
     The vertex tuple holds exactly the extreme points: a single point, a
     segment with its endpoints in lexicographic order, or a polygon in
     counterclockwise order starting at the lexicographically smallest
-    vertex. Construction rejects anything else, so two polytopes are equal
-    iff they are equal as point sets.
+    vertex. convex_hull builds exactly that; a vertex tuple from any other
+    caller is validated, and anything else is rejected. So two polytopes
+    are equal iff they are equal as point sets, and == compares their keys.
     """
 
     vertices: tuple[Point, ...]
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        checked = self.vertices.__class__ is not _Hull
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
         keys = tuple(map(_sort_key, verts))
         object.__setattr__(self, "_key", keys)
         if not verts:
             raise EmptyInputError("a polytope needs at least one vertex")
-        if not _is_canonical(verts, keys):
+        if checked and not _is_canonical(verts, keys):
             raise ValueError("vertices are not in canonical convex position")
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is Polytope else NotImplemented
 
 
 def convex_hull(points: Iterable[Point]) -> Polytope:

@@ -351,6 +351,12 @@ def assert_three_routes_agree(omega):
 
 
 @given(mixed_families_st)
+# One segment: two opposite rays, each sector a half turn.
+@example(coll(((0, 0), (2, 1))))
+# A point beside a segment.
+@example(coll(((1, 1),), ((0, 0), (0, 2))))
+# One ray, (0, -1), normal to an edge of each of three members.
+@example(coll(((0, 0), (1, 0), (0, 1)), ((2, 0), (4, 0), (3, 2)), ((-2, 1), (-1, 1))))
 def test_fan_sweep_matches_brute_force_routes(omega):
     assert_three_routes_agree(omega)
 

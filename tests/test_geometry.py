@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from demyanov import Direction, Point, Polytope, convex_hull, exposed_face
+from demyanov import Direction, Point, Polytope, convex_hull, exposed_face, geometry
 from demyanov.converter import affine_image
 from demyanov.errors import EmptyInputError
 from demyanov.geometry import _joined_text, _sort_key, bounding_box, support_value
@@ -232,6 +232,26 @@ def test_polytope_value_semantics():
         seg.vertices = ()
 
 
+def rebuilt(points):
+    # The same values held in new Fraction objects, as parsing makes them.
+    return [Point(Fraction(2 * p.x.numerator, 2 * p.x.denominator), str(p.y)) for p in points]
+
+
+@given(hull_inputs_st, st.none() | hull_inputs_st)
+@example([pt(Fraction(2, 4), 1), pt(0, 0)], [pt("1/2", 1), pt(0, 0)])
+@example([pt(Fraction(2, 4), "1/3"), pt(1, 0), pt(0, 0)], None)
+def test_polytope_equality_is_vertex_equality(a, b):
+    # b = None stands for a itself, rebuilt from new Fraction objects.
+    p, q = convex_hull(a), convex_hull(rebuilt(a) if b is None else b)
+    assert (p == q) is (p.vertices == q.vertices)
+    assert (p != q) is (p.vertices != q.vertices)
+    if b is None:
+        assert p == q
+    if p == q:
+        assert hash(p) == hash(q)
+    assert p != p.vertices
+
+
 def test_direction_canonicalises_to_primitive():
     assert Direction(2, -2) == Direction(1, -1)
     assert Direction(0, 7) == Direction(0, 1)
@@ -272,7 +292,24 @@ def test_polytope_accepts_exactly_the_hull_output(vertices):
 @example([pt(0, 0), pt(1, 0), pt(1, Fraction(1, 10**30))])
 @example([pt(0, 0), pt(1, 0), pt(1, -Fraction(1, 10**30)), pt(Fraction(1, 2), 0)])
 def test_convex_hull_matches_fraction_reference(points):
-    assert convex_hull(points).vertices == reference_hull_vertices(points)
+    hull = convex_hull(points)
+    assert hull.vertices == reference_hull_vertices(points)
+    # Polytope does not validate the hull's own output, so the check it
+    # skips is made here: a caller passing the same tuple is accepted.
+    assert type(hull.vertices) is tuple
+    assert Polytope(tuple(hull.vertices)) == hull
+
+
+def test_only_caller_tuples_are_validated(monkeypatch):
+    seen = []
+    check = geometry._is_canonical
+    monkeypatch.setattr(geometry, "_is_canonical", lambda v, k: seen.append(v) or check(v, k))
+    hull = convex_hull([pt(0, 0), pt(2, 0), pt(1, 1), pt(1, 0), pt(2, 0)])
+    assert seen == []
+    assert Polytope(hull.vertices) == hull
+    assert seen == [hull.vertices]
+    with pytest.raises(ValueError):
+        Polytope(hull.vertices[::-1])
 
 
 def test_orient_is_exact_on_tiny_fractions():
