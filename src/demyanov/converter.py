@@ -47,7 +47,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyInputError, FanInvariantError
 from .geometry import Direction, Point, Polytope, convex_hull
-from .geometry import _as_rational, _joined_text, _sort_key
+from .geometry import _Canonical, _as_rational, _joined_text, _sort_key
 
 
 @dataclass(frozen=True)
@@ -55,25 +55,25 @@ class Collection:
     """A nonempty, deduplicated, canonically ordered family of polytopes.
 
     Members are sorted by their vertex tuples, so equal families compare
-    and hash equal regardless of how they were assembled. Use
-    Collection.of for arbitrary input; the constructor insists on the
-    canonical layout.
+    and hash equal regardless of how they were assembled. Collection.of
+    builds that layout from arbitrary input and is taken as is; a member
+    tuple from any other caller is accepted only if Collection.of would
+    return it unchanged.
     """
 
     members: tuple[Polytope, ...]
 
     def __post_init__(self) -> None:
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        if not members:
+        checked = self.members.__class__ is not _Canonical
+        object.__setattr__(self, "members", tuple(self.members))
+        if not self.members:
             raise EmptyInputError("a collection must contain at least one polytope")
-        keys = [m._key for m in members]
-        if any(b <= a for a, b in zip(keys, keys[1:])):
+        if checked and Collection.of(self.members).members != self.members:
             raise ValueError("members must be sorted and deduplicated; use Collection.of")
 
     @classmethod
     def of(cls, polytopes: Iterable[Polytope]) -> Collection:
-        return cls(tuple(sorted(set(polytopes), key=_sort_key)))
+        return cls(_Canonical(sorted(set(polytopes), key=_sort_key)))
 
     def __iter__(self) -> Iterator[Polytope]:
         return iter(self.members)

@@ -13,16 +13,13 @@ interpreter's integer digit limit are reported as ParseErrors.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from .converter import Collection
 from .errors import EmptyInputError, ParseError
-from .geometry import Point, convex_hull
+from .geometry import _RATIONAL_RE, Point, convex_hull
 
 FORMAT_VERSION = "1"
-
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
 def _parse_rational(raw, where: str) -> int | Fraction:

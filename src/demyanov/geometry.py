@@ -5,7 +5,8 @@ exact, so directions that sit right on a face boundary are classified
 correctly instead of being lost to rounding. Polytopes are stored in a
 canonical vertex order, which makes value equality coincide with
 point-set equality and lets collections be deduplicated by hashing. The
-hull's output is canonical as built; only other vertex tuples are checked.
+hull is the one definition of that order: its own output is taken as is,
+and any other vertex tuple only if hulling it would return it unchanged.
 
 Predicates run on plain ints, not on Fraction arithmetic: each point is
 lifted once to homogeneous integers (X, Y, W) with (x, y) = (X/W, Y/W),
@@ -30,6 +31,7 @@ validation, equality and the ordering of collections read.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -39,6 +41,8 @@ from typing import Iterable
 from .errors import EmptyInputError
 
 _KEY_BITS = 32  # each key coordinate starts with floor(c * 2**_KEY_BITS)
+# Point's strings, as in documents: Fraction(str) also takes costly exponents.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
 def _as_rational(value) -> Fraction:
@@ -46,6 +50,8 @@ def _as_rational(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("float coordinates are not supported; pass int, str or Fraction")
+    if isinstance(value, str) and not _RATIONAL_RE.match(value):
+        raise ValueError(f"{value!r} is not an integer or p/q rational literal")
     return Fraction(value)
 
 
@@ -123,7 +129,7 @@ _sort_key = attrgetter("_key")
 _x_part, _y_part = itemgetter(0, 1), itemgetter(2, 3)
 
 
-class _Hull(tuple):  # canonical as built: Polytope takes it unchecked
+class _Canonical(tuple):  # a builder's own output: its type takes it unchecked
     __slots__ = ()
 
 
@@ -139,7 +145,7 @@ def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
     if not pts:
         raise EmptyInputError("convex hull of an empty point set")
     if pts[0]._key == pts[-1]._key:
-        return _Hull((pts[0],))
+        return _Canonical((pts[0],))
     lower, upper = [], []
     for p in pts:
         rx, ry, rw = p._lift
@@ -156,30 +162,7 @@ def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
             upper.pop()
         upper.append(p)
     # Both chains run from pts[0] to pts[-1]; the upper one, reversed, closes the cycle.
-    return _Hull(lower[:-1] + upper[:0:-1])
-
-
-def _is_canonical(verts: tuple[Point, ...], keys: tuple) -> bool:
-    # verts == _hull_vertices(verts) in one pass: one point, two in strict
-    # lexicographic order, or a cycle whose keys rise strictly from verts[0]
-    # to one peak and fall strictly back, turning strictly left throughout.
-    n = len(verts)
-    if n < 3:
-        return n == 1 or keys[0] < keys[1]
-    i = 1
-    while i < n and keys[i - 1] < keys[i]:
-        i += 1
-    # keys[i - 1] is the peak; the rest must fall strictly back to keys[0],
-    # which also fails if they do not rise from it (i == 1).
-    if not all(a > b for a, b in zip(keys[i - 1 :], keys[i:] + keys[:1])):
-        return False
-    (px, py, pw), (qx, qy, qw) = verts[-2]._lift, verts[-1]._lift
-    for v in verts:
-        rx, ry, rw = v._lift
-        if px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx) <= 0:
-            return False
-        px, py, pw, qx, qy, qw = qx, qy, qw, rx, ry, rw
-    return True
+    return _Canonical(lower[:-1] + upper[:0:-1])
 
 
 @dataclass(frozen=True)
@@ -189,23 +172,23 @@ class Polytope:
     The vertex tuple holds exactly the extreme points: a single point, a
     segment with its endpoints in lexicographic order, or a polygon in
     counterclockwise order starting at the lexicographically smallest
-    vertex. convex_hull builds exactly that; a vertex tuple from any other
-    caller is validated, and anything else is rejected. So two polytopes
-    are equal iff they are equal as point sets, and == compares their keys.
+    vertex. convex_hull's output is taken as is; any other vertex tuple is
+    accepted only if convex_hull would return it unchanged. So polytopes
+    are equal iff equal as point sets, and == compares their keys.
     """
 
     vertices: tuple[Point, ...]
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        checked = self.vertices.__class__ is not _Hull
+        checked = self.vertices.__class__ is not _Canonical
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
         keys = tuple(map(_sort_key, verts))
         object.__setattr__(self, "_key", keys)
         if not verts:
             raise EmptyInputError("a polytope needs at least one vertex")
-        if checked and not _is_canonical(verts, keys):
+        if checked and tuple(map(_sort_key, _hull_vertices(verts))) != keys:
             raise ValueError("vertices are not in canonical convex position")
 
     def __eq__(self, other):

@@ -91,6 +91,51 @@ def test_collection_rejects_empty_and_unsorted():
         Collection((a, a))
 
 
+# A small pool of hulls, so that drawn tuples often repeat a member and
+# members share a vertex prefix (a point sorts before a segment from it).
+member_pool_st = st.sampled_from(
+    [
+        poly((0, 0)),
+        poly((0, 0), (1, 0)),
+        poly((0, 0), (1, 0), (0, 1)),
+        poly((Fraction(1, 2), 0), (0, 1)),
+        poly((0, 1)),
+    ]
+)
+
+
+@given(st.lists(member_pool_st, min_size=1, max_size=5).map(tuple))
+def test_collection_accepts_exactly_the_output_of_of(members):
+    omega = Collection.of(members)
+    assert type(omega.members) is tuple
+    assert Collection(tuple(omega.members)) == omega
+    # Members sort as their vertex lists of Fraction pairs do.
+    assert omega.members == tuple(
+        sorted(set(members), key=lambda m: [(v.x, v.y) for v in m.vertices])
+    )
+    canonical = members == omega.members
+    try:
+        Collection(members)
+    except ValueError:
+        assert not canonical
+    else:
+        assert canonical
+
+
+def test_only_caller_member_tuples_are_validated(monkeypatch):
+    calls = []
+    build = Collection.of.__func__
+    monkeypatch.setattr(
+        Collection, "of", classmethod(lambda cls, ps: calls.append(ps) or build(cls, ps))
+    )
+    omega = coll(*OMEGA0)
+    assert len(calls) == 1  # coll's own call; its output is not checked again
+    assert Collection(omega.members) == omega
+    assert calls[1:] == [omega.members]
+    with pytest.raises(ValueError):
+        Collection(omega.members[::-1])
+
+
 def ray_representatives(omega):
     return [c.representative for c in converter.test_directions(omega) if c.kind is CellKind.RAY]
 

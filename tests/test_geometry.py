@@ -190,6 +190,17 @@ def test_point_key_orders_and_equates_as_the_fraction_pair(points):
         assert [p == q for q in points] == [xy == other for other in pairs]
 
 
+def test_point_strings_take_only_integer_and_p_q_literals():
+    assert Point("1/2", "-3") == Point(Fraction(1, 2), -3)
+    # Fraction would parse these too; an exponent of ten million digits
+    # would build a 33-million-bit int first.
+    for raw in ("1e10000000", "0.5", " 1", "+1", "1_0", "1/2/3"):
+        started = time.perf_counter()
+        with pytest.raises(ValueError):
+            Point(raw, 0)
+        assert time.perf_counter() - started < 1
+
+
 def test_point_value_semantics():
     assert Point(Fraction(4, 2), "1") == Point(2, 1)
     assert Point("1/2", 0) == Point(Fraction(2, 4), Fraction(0))
@@ -302,12 +313,12 @@ def test_convex_hull_matches_fraction_reference(points):
 
 def test_only_caller_tuples_are_validated(monkeypatch):
     seen = []
-    check = geometry._is_canonical
-    monkeypatch.setattr(geometry, "_is_canonical", lambda v, k: seen.append(v) or check(v, k))
+    build = geometry._hull_vertices
+    monkeypatch.setattr(geometry, "_hull_vertices", lambda ps: seen.append(ps) or build(ps))
     hull = convex_hull([pt(0, 0), pt(2, 0), pt(1, 1), pt(1, 0), pt(2, 0)])
-    assert seen == []
+    assert len(seen) == 1  # convex_hull's own; its output is not hulled again
     assert Polytope(hull.vertices) == hull
-    assert seen == [hull.vertices]
+    assert seen[1:] == [hull.vertices]
     with pytest.raises(ValueError):
         Polytope(hull.vertices[::-1])
 
