@@ -8,6 +8,14 @@ Each literal is checked once against a strict pattern and then built from
 its integer parts: int(n) or Fraction(int(p), int(q)), never parsed a
 second time as a Fraction string. A zero denominator and a part over the
 interpreter's integer digit limit are reported as ParseErrors.
+
+Every iterate of the converter is spanned by vertices of the family it
+started from, so a document lists few distinct vertices, many times over.
+parse_family therefore parses each distinct [x, y] literal pair once, at
+its first occurrence (which an error then names), and every later
+occurrence shares that one immutable Point. The memo lives for one call,
+so it holds at most one entry per vertex of the document. Each member is
+still hulled on its own and the members deduplicated once.
 """
 
 from __future__ import annotations
@@ -62,6 +70,10 @@ def parse_family(text: str) -> Collection:
         raise ParseError("'polytopes' must be a list of vertex lists")
     if not polytopes:
         raise EmptyInputError("document contains no polytopes")
+    # The Point of each distinct literal pair parsed so far. A pair with a
+    # non-string coordinate gets the key None, which is never stored: its
+    # parse always raises.
+    seen: dict[tuple[str, str] | None, Point] = {}
     members = []
     for i, vertex_list in enumerate(polytopes):
         if not isinstance(vertex_list, list) or not vertex_list:
@@ -70,10 +82,13 @@ def parse_family(text: str) -> Collection:
         for j, vertex in enumerate(vertex_list):
             if not isinstance(vertex, list) or len(vertex) != 2:
                 raise ParseError(f"polytope {i} vertex {j}: expected an [x, y] pair")
-            where = f"polytope {i} vertex {j}"
-            points.append(
-                Point(_parse_rational(vertex[0], where), _parse_rational(vertex[1], where))
-            )
+            x, y = vertex
+            key = (x, y) if isinstance(x, str) and isinstance(y, str) else None
+            point = seen.get(key)
+            if point is None:
+                where = f"polytope {i} vertex {j}"
+                point = seen[key] = Point(_parse_rational(x, where), _parse_rational(y, where))
+            points.append(point)
         members.append(convex_hull(points))
     return Collection.of(members)
 

@@ -26,7 +26,8 @@ coordinate c = n/d the key holds the int (n << 32) // d = floor(c * 2^32),
 then c exactly: the int n where d = 1, else the Fraction. So only values
 within 2^-32 of each other, in practice equal ones, compare exactly. Each
 Polytope likewise stores the tuple of its vertices' keys once, which
-validation, equality and the ordering of collections read.
+validation, equality and the ordering of collections read; its hash is
+that of its vertex tuple.
 """
 
 from __future__ import annotations
@@ -48,11 +49,20 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 def _as_rational(value) -> Fraction:
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError("float coordinates are not supported; pass int, str or Fraction")
-    if isinstance(value, str) and not _RATIONAL_RE.match(value):
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if not isinstance(value, str):
+        # Fraction(value) would also take a float, or a Decimal whose
+        # exponent builds a numerator of millions of bits.
+        raise TypeError(
+            f"{type(value).__name__} coordinates are not supported; pass int, str or Fraction"
+        )
+    if not _RATIONAL_RE.match(value):
         raise ValueError(f"{value!r} is not an integer or p/q rational literal")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +184,8 @@ class Polytope:
     counterclockwise order starting at the lexicographically smallest
     vertex. convex_hull's output is taken as is; any other vertex tuple is
     accepted only if convex_hull would return it unchanged. So polytopes
-    are equal iff equal as point sets, and == compares their keys.
+    are equal iff equal as point sets, and == compares their keys; the
+    hash is that of the vertex tuple.
     """
 
     vertices: tuple[Point, ...]
@@ -193,6 +204,12 @@ class Polytope:
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is Polytope else NotImplemented
+
+    def __hash__(self) -> int:
+        # Each vertex returns its stored hash. On CPython 3.11 this hashes
+        # as fast as the dataclass default and faster than collecting the
+        # stored hashes into a tuple first.
+        return hash(self.vertices)
 
 
 def convex_hull(points: Iterable[Point]) -> Polytope:

@@ -1,5 +1,6 @@
 import time
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -194,11 +195,23 @@ def test_point_strings_take_only_integer_and_p_q_literals():
     assert Point("1/2", "-3") == Point(Fraction(1, 2), -3)
     # Fraction would parse these too; an exponent of ten million digits
     # would build a 33-million-bit int first.
-    for raw in ("1e10000000", "0.5", " 1", "+1", "1_0", "1/2/3"):
+    for raw in ("1e10000000", "0.5", " 1", "+1", "1_0", "1/2/3", "1/0", "0/0", "-3/000"):
         started = time.perf_counter()
         with pytest.raises(ValueError):
             Point(raw, 0)
         assert time.perf_counter() - started < 1
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
+        Point(0, "1/0")
+
+
+def test_point_takes_only_int_fraction_and_str():
+    # Fraction(Decimal("1e1000000")) would build a 3.3-million-bit numerator.
+    for value in (Decimal("1e1000000"), Decimal("0.5"), complex(1, 0), None, [1]):
+        started = time.perf_counter()
+        with pytest.raises(TypeError, match="coordinates are not supported"):
+            Point(value, 0)
+        assert time.perf_counter() - started < 1
+    assert Point(True, 0) == Point(1, 0)
 
 
 def test_point_value_semantics():
@@ -234,7 +247,7 @@ def test_point_text_is_the_fraction_pair_text(x, y):
 def test_polytope_value_semantics():
     seg = Polytope((pt(0, 0), pt("1/2", 1)))
     assert seg == convex_hull([pt(Fraction(2, 4), 1), pt(0, 0), pt(Fraction(1, 4), "1/2")])
-    assert hash(seg) == hash((seg.vertices,))
+    assert hash(seg) == hash(seg.vertices)
     assert repr(seg) == (
         "Polytope(vertices=(Point(x=Fraction(0, 1), y=Fraction(0, 1)), "
         "Point(x=Fraction(1, 2), y=Fraction(1, 1))))"

@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from demyanov import (
     Collection,
+    Point,
     builtin_counterexample,
     convex_hull,
     parse_family,
@@ -17,7 +18,7 @@ from demyanov import (
 from demyanov.errors import EmptyInputError, ParseError
 from demyanov.familyio import _RATIONAL_RE, _parse_rational
 
-from support import coll, poly, wide_denominator_points
+from support import coll, mixed_families, poly, wide_denominator_points
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -225,3 +226,69 @@ def test_parse_error_text_for_digit_limit():
     with pytest.raises(ParseError) as err:
         parse_family(json.dumps({"version": "1", "polytopes": [[["0", "0"], ["2", literal]]]}))
     assert str(err.value) == "polytope 0 vertex 1: literal exceeds the integer digit limit"
+
+
+def equivalent_literal(data, c):
+    # c written as (k n)/(k d), with leading zeros and, for zero, maybe "-0".
+    k = data.draw(st.integers(1, 3))
+    num, den = abs(c.numerator) * k, c.denominator * k
+    sign = "-" if c < 0 or (c == 0 and data.draw(st.booleans())) else ""
+    zeros = "0" * data.draw(st.integers(0, 2))
+    if den == 1 and data.draw(st.booleans()):
+        return f"{sign}{zeros}{num}"
+    return f"{sign}{zeros}{num}/{den}"
+
+
+@given(mixed_families(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))), st.data())
+def test_parse_is_invariant_under_equivalent_documents(omega, data):
+    # Repeat vertices, shuffle each member's vertices and the members, and
+    # write every coordinate in some equivalent form: the family is the same.
+    polytopes = []
+    for member in omega.members:
+        vertices = list(member.vertices)
+        vertices += data.draw(st.lists(st.sampled_from(vertices), max_size=4))
+        vertices = data.draw(st.permutations(vertices))
+        polytopes.append(
+            [[equivalent_literal(data, v.x), equivalent_literal(data, v.y)] for v in vertices]
+        )
+    polytopes = data.draw(st.permutations(polytopes))
+    assert parse_family(json.dumps({"version": "1", "polytopes": polytopes})) == omega
+
+
+def test_parse_shares_one_point_per_literal_pair():
+    doc = (
+        '{"version":"1","polytopes":[[["0","0"],["1/2","1"]],'
+        '[["1/2","1"],["0","0"],["2","0"]],[["0","0"]]]}'
+    )
+    omega = parse_family(doc)
+    vertices = [v for member in omega for v in member.vertices]
+    assert len(vertices) == 6
+    assert len({id(v) for v in vertices}) == 3
+    origin = [v for v in vertices if v == Point(0, 0)]
+    assert len(origin) == 3 and origin[0] is origin[1] is origin[2]
+
+
+@pytest.mark.parametrize(
+    "polytopes, message",
+    [
+        # A bad literal is reported where it first occurs.
+        (
+            '[[["0","0"]],[["1","0"],["x","1"]],[["x","1"]]]',
+            "polytope 1 vertex 1: 'x' is not an integer or p/q rational literal",
+        ),
+        (
+            '[[["0","0"]],[["1/0","0"]],[["1/0","0"]]]',
+            "polytope 1 vertex 0: zero denominator in '1/0'",
+        ),
+        # A pair that is not two strings never reaches the memo, hashable or not.
+        ('[[[["0"],"0"]]]', "polytope 0 vertex 0: coordinate must be a string, got list"),
+        ('[[["0",["0"]]]]', "polytope 0 vertex 0: coordinate must be a string, got list"),
+        ('[[[0,"0"]]]', "polytope 0 vertex 0: coordinate must be a string, got int"),
+        ('[[["0","0"]],[[0,"0"]]]', "polytope 1 vertex 0: coordinate must be a string, got int"),
+    ],
+    ids=["bad-literal", "zero-denominator", "list-x", "list-y", "int-x", "int-x-after-hit"],
+)
+def test_parse_error_text_names_first_bad_occurrence(polytopes, message):
+    with pytest.raises(ParseError) as err:
+        parse_family('{"version":"1","polytopes":' + polytopes + "}")
+    assert str(err.value) == message
