@@ -4,10 +4,10 @@ A family document is versioned JSON carrying one vertex list per
 polytope. Coordinates are strings, either an integer literal or "p/q",
 so arbitrary precision survives the trip; floats are rejected outright.
 
-Each literal is checked once against a strict pattern and then built from
-its integer parts: int(n) or Fraction(int(p), int(q)), never parsed a
-second time as a Fraction string. A zero denominator and a part over the
-interpreter's integer digit limit are reported as ParseErrors.
+Each coordinate is read by Point's own reader, geometry._as_rational, so
+documents and Point strings take the same literals and fail with the same
+texts. A document adds only that a coordinate must be a JSON string (a
+Point also takes ints) and that each error names its vertex.
 
 Every iterate of the converter is spanned by vertices of the family it
 started from, so a document lists few distinct vertices, many times over.
@@ -21,29 +21,21 @@ still hulled on its own and the members deduplicated once.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .converter import Collection
 from .errors import EmptyInputError, ParseError
-from .geometry import _RATIONAL_RE, Point, convex_hull
+from .geometry import Point, _as_rational, convex_hull
 
 FORMAT_VERSION = "1"
 
 
-def _parse_rational(raw, where: str) -> int | Fraction:
+def _parse_rational(raw, where: str):
     if not isinstance(raw, str):
         raise ParseError(f"{where}: coordinate must be a string, got {type(raw).__name__}")
-    if not _RATIONAL_RE.match(raw):
-        raise ParseError(f"{where}: {raw!r} is not an integer or p/q rational literal")
-    num, _, den = raw.partition("/")
     try:
-        return Fraction(int(num), int(den)) if den else int(num)
-    except ZeroDivisionError:
-        raise ParseError(f"{where}: zero denominator in {raw!r}") from None
-    except ValueError:
-        # The literal is well formed, so only the interpreter's limit on
-        # integer digits can reject it.
-        raise ParseError(f"{where}: literal exceeds the integer digit limit") from None
+        return _as_rational(raw)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def parse_family(text: str) -> Collection:

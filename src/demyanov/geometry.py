@@ -42,7 +42,8 @@ from typing import Iterable
 from .errors import EmptyInputError
 
 _KEY_BITS = 32  # each key coordinate starts with floor(c * 2**_KEY_BITS)
-# Point's strings, as in documents: Fraction(str) also takes costly exponents.
+# The one grammar of coordinate literals, for Point strings and document
+# coordinates alike: an integer or p/q, no exponent, point or space.
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
@@ -59,10 +60,15 @@ def _as_rational(value) -> Fraction:
         )
     if not _RATIONAL_RE.match(value):
         raise ValueError(f"{value!r} is not an integer or p/q rational literal")
+    num, _, den = value.partition("/")
     try:
-        return Fraction(value)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+    except ValueError:
+        # The literal is well formed, so only the interpreter's limit on
+        # integer digits can reject it.
+        raise ValueError("literal exceeds the integer digit limit") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,6 +8,8 @@ are frozen here as an oracle independent of the fan-cell machinery.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter
 
 from hypothesis import strategies as st
 
@@ -269,6 +271,37 @@ def affine_polytope(polytope, A, t=(0, 0)):
 def mirror_symmetric(omega):
     """omega together with its mirror image: a family the mirror fixes."""
     return Collection.of(list(omega) + list(affine_image(omega, MIRROR)))
+
+
+def exhauster_value(omega, d):
+    """U_omega(d): the min over members of the max of <v, d> over the
+    member's vertices, in Fraction arithmetic on v.x and v.y, never on
+    the integer lift."""
+    a, b = d
+    # Members share vertices, so each distinct vertex is scored once.
+    vertices = {v for member in omega.members for v in member.vertices}
+    score = {v: a * v.x + b * v.y for v in vertices}
+    return min(max(score[v] for v in member.vertices) for member in omega.members)
+
+
+def critical_directions(omega):
+    """The four axes and +- the primitive int perpendicular to the
+    difference of each two distinct vertices of omega, sorted.
+
+    U is piecewise linear with breaks only on these rays, for omega and
+    for every iterate of it, whose vertices are all vertices of omega.
+    """
+    vertices = {v for member in omega.members for v in member.vertices}
+    vertices = sorted(vertices, key=attrgetter("x", "y"))
+    directions = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    for i, p in enumerate(vertices):
+        for q in vertices[i + 1 :]:
+            dx, dy = q.x - p.x, q.y - p.y
+            scale = lcm(dx.denominator, dy.denominator)
+            a, b = int(-dy * scale), int(dx * scale)
+            g = gcd(a, b)
+            directions.update([(a // g, b // g), (-a // g, -b // g)])
+    return sorted(directions)
 
 
 def turn(p, q, r):

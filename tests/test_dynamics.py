@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from demyanov import (
     Collection,
@@ -21,7 +22,20 @@ from demyanov.cli import cli_dispatch
 from demyanov.converter import affine_image, representative_bound
 from demyanov.errors import CapExceededError, GenerationFailedError
 
-from support import MIRROR, OMEGA0, OMEGA1, OMEGA2, OMEGA3, OMEGA4, coll, poly
+from support import (
+    MIRROR,
+    OMEGA0,
+    OMEGA1,
+    OMEGA2,
+    OMEGA3,
+    OMEGA4,
+    affine_maps_st,
+    coll,
+    critical_directions,
+    exhauster_value,
+    mixed_families,
+    poly,
+)
 
 
 def test_builtin_counterexample_members():
@@ -57,6 +71,46 @@ def test_three_member_family_reaches_length_four_cycle(tmp_path, capsys):
     document.write_text(serialize_family(omega))
     assert cli_dispatch(["iterate", "--in", str(document)]) == 0
     assert capsys.readouterr().out == "N=2 L=4\n"
+
+
+def exhauster_values(state, directions):
+    return {d: exhauster_value(state, d) for d in directions}
+
+
+# U_T(omega)(d) = -U_omega(-d) for T = demyanov_convert: the image at -d
+# attains -U_omega(-d) at d, and every image holds a point of each member,
+# so no image's support at d lies below that. Both sides are piecewise
+# linear with breaks on the critical directions of the orbit's first state,
+# so checking those checks every d. A failure reports its example unshrunk:
+# each shrink step would rerun a whole orbit.
+@settings(
+    max_examples=50, deadline=None, phases=[phase for phase in Phase if phase is not Phase.shrink]
+)
+@given(mixed_families(st.integers(-3, 3)), st.none() | affine_maps_st)
+@example(builtin_counterexample(), None)
+@example(coll(*THREE_MEMBER_WITNESS), None)
+def test_converter_reflects_the_exhauster_at_every_step(omega, phi):
+    if phi is not None:
+        omega = affine_image(omega, *phi)
+    trajectory = iterate_until_cycle(omega, 10_000).trajectory
+    directions = critical_directions(trajectory[0])
+    values = [exhauster_values(state, directions) for state in trajectory]
+    for u, u_next in zip(values, values[1:]):
+        assert all(u_next[a, b] == -u[-a, -b] for a, b in directions)
+
+
+def test_odd_cycle_length_forces_an_odd_exhauster():
+    # If omega_{j+L} = omega_j with L odd, U_j equals its own reflection,
+    # and U_j is U_omega0 or its reflection: U(-d) = -U(d) for every d.
+    odd = 0
+    for k in range(60):
+        omega = random_family(2, 3, 2, seed=k)
+        if iterate_until_cycle(omega, 10_000).cycle_length % 2:
+            odd += 1
+            directions = critical_directions(omega)
+            u = exhauster_values(omega, directions)
+            assert all(u[-a, -b] == -u[a, b] for a, b in directions), k
+    assert odd > 0
 
 
 def test_builtin_orbit_reaches_length_four_cycle():

@@ -16,7 +16,8 @@ from demyanov import (
     serialize_family,
 )
 from demyanov.errors import EmptyInputError, ParseError
-from demyanov.familyio import _RATIONAL_RE, _parse_rational
+from demyanov.familyio import _parse_rational
+from demyanov.geometry import _RATIONAL_RE
 
 from support import coll, mixed_families, poly, wide_denominator_points
 
@@ -201,17 +202,25 @@ literals_st = st.builds(
 def test_parse_rational_agrees_with_fraction_literals(raw):
     # Either both routes give the same rational, or Fraction's own parser
     # fails and the document parser reports the same cause as a ParseError.
+    # A Point string goes through the same reader: it gives the same value,
+    # or a ValueError with the same text minus the vertex name.
     assert _RATIONAL_RE.match(raw)
     try:
         expected = Fraction(raw)
     except ZeroDivisionError:
-        with pytest.raises(ParseError, match=r"^w: zero denominator in "):
-            _parse_rational(raw, "w")
+        text = f"zero denominator in {raw!r}"
     except ValueError:
-        with pytest.raises(ParseError, match=r"^w: literal exceeds the integer digit limit$"):
-            _parse_rational(raw, "w")
+        text = "literal exceeds the integer digit limit"
     else:
         assert _parse_rational(raw, "w") == expected
+        assert Point(raw, 0).x == expected
+        return
+    with pytest.raises(ParseError) as err:
+        _parse_rational(raw, "w")
+    assert str(err.value) == "w: " + text
+    with pytest.raises(ValueError) as err:
+        Point(raw, 0)
+    assert str(err.value) == text
 
 
 def test_parse_error_text_for_zero_denominator():
@@ -285,8 +294,21 @@ def test_parse_shares_one_point_per_literal_pair():
         ('[[["0",["0"]]]]', "polytope 0 vertex 0: coordinate must be a string, got list"),
         ('[[[0,"0"]]]', "polytope 0 vertex 0: coordinate must be a string, got int"),
         ('[[["0","0"]],[[0,"0"]]]', "polytope 1 vertex 0: coordinate must be a string, got int"),
+        # x is read in full before y is looked at.
+        (
+            '[[["0.5",0]]]',
+            "polytope 0 vertex 0: '0.5' is not an integer or p/q rational literal",
+        ),
     ],
-    ids=["bad-literal", "zero-denominator", "list-x", "list-y", "int-x", "int-x-after-hit"],
+    ids=[
+        "bad-literal",
+        "zero-denominator",
+        "list-x",
+        "list-y",
+        "int-x",
+        "int-x-after-hit",
+        "bad-x-before-int-y",
+    ],
 )
 def test_parse_error_text_names_first_bad_occurrence(polytopes, message):
     with pytest.raises(ParseError) as err:
