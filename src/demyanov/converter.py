@@ -16,7 +16,8 @@ Both routes below index the family's distinct vertices once, in
 lexicographic order, and read the integer lift (X, Y, W), W > 0, that each
 Point made when built, so <v, g> = (X a + Y b) / W for g = (a, b). An
 attaining set is an int bitmask over the index; each distinct one is
-hulled once, on points already sorted. No Fraction or float is involved.
+hulled once, on its points picked from the lowest set bit up, so in index
+order, which the hull takes without sorting. No Fraction or float is used.
 
 test_directions computes each member edge's outward normal once, orders
 the distinct normals counterclockwise by an exact int key (the half-plane,
@@ -39,7 +40,6 @@ sharing none of the sweep, sampled_convert checks demyanov_convert.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -47,7 +47,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyInputError, FanInvariantError
 from .geometry import Direction, Point, Polytope, convex_hull
-from .geometry import _Canonical, _as_rational, _joined_text, _sort_key
+from .geometry import _Canonical, _Sorted, _as_rational, _joined_text, _sort_key
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,6 @@ class FanCell:
         return Direction(a + c, b + d) if a + c or b + d else Direction(-b, a)
 
 
-def _edge_normal(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int]:
-    # (q - p) turned a quarter turn clockwise, scaled by W_p * W_q > 0,
-    # then made primitive: the outward normal of edge p -> q as (a, b).
-    px, py, pw = p
-    qx, qy, qw = q
-    a, b = qy * pw - py * qw, px * qw - qx * pw
-    g = gcd(a, b)
-    return a // g, b // g
-
-
 def _ccw_order(normals: list[tuple[int, int]]) -> list[tuple[int, int]]:
     # Distinct primitive (a, b) counterclockwise from (1, 0): (1, 0), those
     # with b > 0, (-1, 0), those with b < 0, each run by rising slope -a/b,
@@ -173,7 +163,11 @@ def test_directions(omega: Collection) -> list[FanCell]:
         # ways, a point has none.
         for i in range(n if n > 1 else 0):
             j = (i + 1) % n
-            normal = _edge_normal(lifts[i], lifts[j])
+            # Outward normal: (v_j - v_i) * W_i * W_j turned clockwise, made primitive.
+            (px, py, pw), (qx, qy, qw) = lifts[i], lifts[j]
+            a, b = qy * pw - py * qw, px * qw - qx * pw
+            g = gcd(a, b)
+            normal = (a // g, b // g)
             edges = on_ray.get(normal)
             if edges is None:
                 on_ray[normal] = [(m, i, j)]
@@ -207,7 +201,7 @@ def _images(points: list[Point], masks: Iterable[int]) -> Collection:
     # Hull each distinct attaining set once, on the points of its set bits.
     hulls = []
     for mask in dict.fromkeys(masks):
-        picked = []
+        picked = _Sorted()  # set bits rise, and so do the points' keys
         while mask:
             picked.append(points[(mask & -mask).bit_length() - 1])
             mask &= mask - 1
@@ -253,8 +247,11 @@ def demyanov_convert(omega: Collection) -> Collection:
     for edges in steps:
         for m, _, j in edges:
             face[m] = j
-    count = Counter(face)  # vertex index -> members whose face it is
-    mask = sum(1 << i for i in count)
+    count = [0] * len(points)  # vertex index -> members whose face it is
+    mask = 0
+    for i in face:
+        count[i] += 1
+        mask |= 1 << i
     masks = [] if steps else [mask]
     for edges in steps:
         before = mask

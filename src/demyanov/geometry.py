@@ -149,15 +149,22 @@ class _Canonical(tuple):  # a builder's own output: its type takes it unchecked
     __slots__ = ()
 
 
+class _Sorted(list):  # distinct points in _sort_key order: the hull skips its sort
+    __slots__ = ()
+
+
 def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
     """Extreme points in canonical order (monotone chain on lifted ints).
 
     Canonical order is counterclockwise starting at the lexicographically
     smallest vertex; collinear interior points and duplicates are dropped.
     Both chains grow in one pass, turning strictly left and right; sorting
-    puts duplicates side by side, so the turn tests pop them too.
+    puts duplicates side by side, so the turn tests pop them too. Input of
+    exactly the class _Sorted is taken as its caller's promise that it
+    holds distinct points already in _sort_key order, and is not sorted
+    again; anything else, a _Canonical hull included, is sorted.
     """
-    pts = sorted(points, key=_sort_key)
+    pts = points if points.__class__ is _Sorted else sorted(points, key=_sort_key)
     if not pts:
         raise EmptyInputError("convex hull of an empty point set")
     if pts[0]._key == pts[-1]._key:

@@ -372,7 +372,17 @@ def test_sampled_convert_of_point_family():
         sampled_convert(omega, 0)
 
 
+_NEAR = Fraction(1, 2**40)
+
+
 @given(rational_families_st)
+# x values 0 and +-2^-40 closer than the point key's 2^-32 resolution: the
+# vertex index, and so each hull's input, is ordered by the exact tie-break,
+# which puts (0, 2) first in the image of the segment and the point (1, 0).
+@example(coll(((0, 2), (_NEAR, 0)), ((1, 0),)))
+# The builtin under x -> (x/2 + 1/3, y - 1/5): lifts (X, Y, W) with W of 15
+# and 30, whose order is not the order of the points.
+@example(affine_image(coll(*OMEGA0), (("1/2", 0), (0, 1)), ("1/3", "-1/5")))
 def test_converter_image_is_hull_of_exposed_faces(omega):
     # exposed_face evaluates <v, g> on Fractions, apart from the kernel.
     images = []

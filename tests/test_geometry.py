@@ -336,6 +336,40 @@ def test_only_caller_tuples_are_validated(monkeypatch):
         Polytope(hull.vertices[::-1])
 
 
+_NEAR = Fraction(1, 2**40)
+
+
+@given(hull_inputs_st)
+# x values 0 and 2^-40 share the key's first entry, floor(x * 2^32) = 0, so
+# only its exact tie-break puts (0, 3) before (2^-40, 1).
+@example([pt(_NEAR, 1), pt(0, 0), pt(-_NEAR, 2), pt(0, 3), pt(_NEAR, 1), pt(-_NEAR, -1)])
+@example(wide_denominator_points(40) * 2)
+def test_hull_of_marked_points_in_key_order_is_not_sorted_again(points):
+    # _Sorted promises distinct points in key order, and the hull takes
+    # them as they come: the result must be what any other order gives.
+    marked = geometry._Sorted(sorted(set(points), key=_sort_key))
+    assert geometry._hull_vertices(marked) == reference_hull_vertices(points)
+    assert geometry._hull_vertices(marked) == geometry._hull_vertices(points)
+
+
+def test_only_the_marker_skips_the_sort(monkeypatch):
+    sorts = []
+    monkeypatch.setattr(
+        geometry, "sorted", lambda *a, **k: sorts.append(1) or sorted(*a, **k), raising=False
+    )
+    hull = convex_hull([pt(0, 0), pt(2, 0), pt(1, 1), pt(0, 2), pt(2, 2)])
+    # Counterclockwise from the smallest vertex, which is not key order.
+    assert list(hull.vertices) != sorted(hull.vertices, key=_sort_key)
+    for vertices in (tuple(hull.vertices), geometry._Canonical(hull.vertices)):
+        sorts.clear()
+        assert convex_hull(vertices).vertices == hull.vertices
+        assert len(sorts) == 1
+    sorts.clear()
+    marked = geometry._Sorted(sorted(hull.vertices, key=_sort_key))
+    assert convex_hull(marked).vertices == hull.vertices
+    assert sorts == []
+
+
 def test_orient_is_exact_on_tiny_fractions():
     # The hull's turn test must see a 10^-30 turn either way; a float
     # orientation at 1 would call both points collinear and drop them.
