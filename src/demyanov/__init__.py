@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .familyio import parse_family, serialize_family
-from .geometry import Direction, Point, Polytope, convex_hull, exposed_face
+from .geometry import Point, Polytope, convex_hull, exposed_face
 from .render import render_svg
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "Collection",
     "CycleResult",
     "DemyanovError",
-    "Direction",
     "EmptyInputError",
     "FanInvariantError",
     "GenerationFailedError",

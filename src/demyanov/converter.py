@@ -24,17 +24,19 @@ the distinct normals counterclockwise by an exact int key (the half-plane,
 then floor(-a/b * 2^k) with 2^k above every product |b1 b2|) and lists,
 on each ray cell, the member edges normal to that ray. Cells keep their
 rays as those primitive int pairs, each consecutive pair checked in ints;
-a cell's witness Direction is made from its own rays only when read,
-which the sweep never does. demyanov_convert sweeps the rays once, reading
-those lists: a member whose edge (v_i, v_{i+1}) has the current ray as
-outward normal exposes v_i just before the ray, the edge on it and
-v_{i+1} after it, and every other member keeps its face; the open sector
-after the ray has the faces past it. Counting per vertex the members
+a cell's witness direction, a primitive int pair too, is made from its
+own rays only when read, which the sweep never does. demyanov_convert
+sweeps the rays once, reading those lists: a member whose edge
+(v_i, v_{i+1}) has the current ray as outward normal exposes v_i just
+before the ray, the edge on it and v_{i+1} after it, and every other
+member keeps its face; the open sector after the ray has the faces past
+it. Counting per vertex the members
 whose face it is keeps the union's mask, so a step costs time linear in
 rays plus member vertices.
-sampled_convert and converter_image instead score every member vertex at
-each direction (a, b), comparing values by cross-multiplying with W;
-sharing none of the sweep, sampled_convert checks demyanov_convert.
+sampled_convert and converter_image instead score each member on its own
+rows (bit, X, Y, W), one per vertex, at each direction (a, b), comparing
+values by cross-multiplying with W; sharing none of the sweep,
+sampled_convert checks demyanov_convert.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import EmptyInputError, FanInvariantError
-from .geometry import Direction, Point, Polytope, convex_hull
-from .geometry import _Canonical, _Sorted, _as_rational, _joined_text, _sort_key
+from .geometry import Point, Polytope, convex_hull
+from .geometry import _Canonical, _Sorted, _as_rational, _direction, _joined_text, _sort_key
 
 
 @dataclass(frozen=True)
@@ -94,11 +96,12 @@ class FanCell:
     rays holds the delimiting rays as primitive int pairs (a, b): one for
     a RAY cell, the counterclockwise (start, end) pair for a SECTOR cell,
     and none for the all-directions sector of a fan with no rays at all.
-    kind and representative, the cell's witness direction, are made from
-    rays when read. A RAY cell's witness is its ray. A sector from (a, b)
-    to (c, d) takes (a + c, b + d), reduced, which lies strictly inside
-    it; an exact half turn, where that sum is zero, takes (-b, a), its
-    start turned a quarter turn. The rayless fan takes (1, 0).
+    kind and representative, the cell's witness direction as a primitive
+    int pair, are made from rays when read. A RAY cell's witness is its
+    ray. A sector from (a, b) to (c, d) takes (a + c, b + d), reduced by
+    their gcd, which lies strictly inside it; an exact half turn, where
+    that sum is zero, takes (-b, a), its start turned a quarter turn. The
+    rayless fan takes (1, 0).
 
     edges lists, on a RAY cell, the member edges (m, i, j) whose outward
     normal is the ray: m is the member's position in omega.members and i, j
@@ -115,11 +118,12 @@ class FanCell:
         return CellKind.RAY if len(self.rays) == 1 else CellKind.SECTOR
 
     @property
-    def representative(self) -> Direction:
+    def representative(self) -> tuple[int, int]:
         if len(self.rays) < 2:
-            return Direction(*self.rays[0]) if self.rays else Direction(1, 0)
+            return self.rays[0] if self.rays else (1, 0)
         (a, b), (c, d) = self.rays
-        return Direction(a + c, b + d) if a + c or b + d else Direction(-b, a)
+        g = gcd(a + c, b + d)  # 0 only on a half turn, where the sum is zero
+        return ((a + c) // g, (b + d) // g) if g else (-b, a)
 
 
 def _ccw_order(normals: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -184,9 +188,10 @@ def test_directions(omega: Collection) -> list[FanCell]:
     return cells
 
 
-def converter_image(omega: Collection, g: Direction) -> Polytope:
-    """conv of the union of every member's exposed face in direction g."""
-    return _collect_images(omega, [(g.a, g.b)]).members[0]
+def converter_image(omega: Collection, g: tuple[int, int]) -> Polytope:
+    """conv of the union of every member's exposed face in direction g, a
+    pair (a, b) of ints, not both zero."""
+    return _collect_images(omega, [_direction(g)]).members[0]
 
 
 def _vertex_index(omega: Collection) -> tuple[list[Point], list[list[int]]]:
@@ -210,25 +215,24 @@ def _images(points: list[Point], masks: Iterable[int]) -> Collection:
 
 
 def _collect_images(omega: Collection, directions: Iterable[tuple[int, int]]) -> Collection:
-    # Brute force: every member vertex scored at every direction (a, b).
+    # Brute force: each member scored at every direction (a, b) on its own
+    # rows (bit, X, Y, W), one per vertex, bit being 1 << its index.
     points, members = _vertex_index(omega)
-    coords = [p._lift for p in points]
-    weights = [w for _, _, w in coords]
+    rows = [[(1 << i, *points[i]._lift) for i in member] for member in members]
+    rows = [(member[0], member[1:]) for member in rows]
     masks = []
     for a, b in directions:
-        values = [x * a + y * b for x, y, _ in coords]
         attaining = 0
-        for member in members:
-            vertices = iter(member)
-            i = next(vertices)
-            top, w, face = values[i], weights[i], 1 << i
-            for i in vertices:
-                # Sign of values[i]/weights[i] - top/w, both weights positive.
-                d = values[i] * w - top * weights[i]
+        for (face, x, y, w), rest in rows:
+            top = x * a + y * b
+            for bit, x, y, v in rest:
+                value = x * a + y * b
+                # Sign of value/v - top/w, both weights positive.
+                d = value * w - top * v
                 if d > 0:
-                    top, w, face = values[i], weights[i], 1 << i
+                    top, w, face = value, v, bit
                 elif d == 0:
-                    face |= 1 << i
+                    face |= bit
             attaining |= face
         masks.append(attaining)
     return _images(points, masks)
@@ -290,7 +294,7 @@ def sampled_convert(omega: Collection, bound: int) -> Collection:
 def representative_bound(omega: Collection) -> int:
     """Largest coordinate magnitude among the fan-cell representatives."""
     witnesses = [cell.representative for cell in test_directions(omega)]
-    return max(max(abs(g.a), abs(g.b)) for g in witnesses)
+    return max(max(abs(a), abs(b)) for a, b in witnesses)
 
 
 def affine_image(omega: Collection, A, t=(0, 0)) -> Collection:

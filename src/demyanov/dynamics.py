@@ -20,7 +20,7 @@ from .converter import (
     demyanov_convert,
 )
 from .errors import CapExceededError, ClaimViolatedError, GenerationFailedError
-from .geometry import Direction, Point, convex_hull
+from .geometry import Point, convex_hull
 
 DEFAULT_CAP = 10_000
 
@@ -88,7 +88,7 @@ def builtin_counterexample() -> Collection:
     )
 
 
-_WITNESS_DIRECTION = Direction(1, 2)
+_WITNESS_DIRECTION = (1, 2)
 _WITNESS_VERTEX = Point(-1, 2)
 
 

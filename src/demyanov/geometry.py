@@ -116,27 +116,15 @@ def _joined_text(points: Iterable[Point]) -> str:
     return "|".join([p._text or _make_text(p) for p in points])
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A nonzero integer vector stored with coprime coordinates.
-
-    A Direction stands for the whole ray of its positive multiples:
-    construction divides out the gcd and keeps the signs, so any two
-    positively proportional inputs collapse to the same value.
-    """
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
-            raise TypeError("direction components must be integers")
-        if self.a == 0 and self.b == 0:
-            raise ValueError("direction must be nonzero")
-        g = gcd(abs(self.a), abs(self.b))
-        if g > 1:
-            object.__setattr__(self, "a", self.a // g)
-            object.__setattr__(self, "b", self.b // g)
+def _direction(g) -> tuple[int, int]:
+    # A direction is a pair (a, b) of ints, not both zero; it stands for the
+    # ray of its positive multiples.
+    a, b = g
+    if not isinstance(a, int) or not isinstance(b, int):
+        raise TypeError("direction components must be integers")
+    if a == 0 and b == 0:
+        raise ValueError("direction must be nonzero")
+    return a, b
 
 
 # Lexicographic order of points, and of polytopes by their vertex keys.
@@ -250,16 +238,21 @@ def bounding_box(polytopes: Iterable[Polytope]) -> tuple:
     )
 
 
-def support_value(polytope: Polytope, g: Direction) -> Fraction:
-    """Largest inner product <v, g> over the polytope."""
-    return max(v.x * g.a + v.y * g.b for v in polytope.vertices)
+def support_value(polytope: Polytope, g: tuple[int, int]) -> Fraction:
+    """Largest inner product <v, g> over the polytope, for g = (a, b) a
+    pair of ints, not both zero. It scales with g, while the face that
+    attains it does not."""
+    a, b = _direction(g)
+    return max(v.x * a + v.y * b for v in polytope.vertices)
 
 
-def exposed_face(polytope: Polytope, g: Direction) -> Polytope:
-    """The face of the polytope on which <., g> attains its maximum.
+def exposed_face(polytope: Polytope, g: tuple[int, int]) -> Polytope:
+    """The face of the polytope on which <., g> attains its maximum, for
+    g = (a, b) a pair of ints, not both zero.
 
     A vertex or an edge for polygons; a segment orthogonal to g exposes
     itself whole.
     """
     best = support_value(polytope, g)
-    return convex_hull(v for v in polytope.vertices if v.x * g.a + v.y * g.b == best)
+    a, b = g
+    return convex_hull(v for v in polytope.vertices if v.x * a + v.y * b == best)

@@ -13,7 +13,7 @@ from operator import attrgetter
 
 from hypothesis import strategies as st
 
-from demyanov import Collection, Direction, Point, convex_hull
+from demyanov import Collection, Point, convex_hull
 from demyanov.converter import _ccw_order, affine_image
 from demyanov.render import MARGIN, PALETTE, PANEL_SIZE, PER_ROW
 
@@ -211,9 +211,9 @@ ARGMAX_TABLES = (
 )
 
 
-def direction(pair):
-    return Direction(pair[0], pair[1])
-
+# Directions as the library takes them: pairs of ints, not both zero, and
+# not reduced, so a drawn pair is often a positive multiple of another.
+directions_st = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda ab: ab != (0, 0))
 
 # x -> (-x, y), as the linear part A of an affine map: the bundled family
 # and each of its iterates are symmetric about the vertical axis.

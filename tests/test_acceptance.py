@@ -12,7 +12,6 @@ import pytest
 import demyanov as dm
 from demyanov import (
     Collection,
-    Direction,
     builtin_counterexample,
     converter_image,
     demyanov_convert,
@@ -34,7 +33,6 @@ from support import (
     TABLE_OMEGA2,
     TABLE_OMEGA3,
     coll,
-    direction,
     mirror_symmetric,
     poly,
     vertex_set,
@@ -80,12 +78,12 @@ def test_criterion_1_counterexample_reproduction(builtin_orbit, capsys):
 def test_criterion_2_table_conformance_omega0():
     omega0 = builtin_counterexample()
     for raw, expected in TABLE_OMEGA0:
-        image = converter_image(omega0, direction(raw))
+        image = converter_image(omega0, raw)
         assert vertex_set(image) == set(expected), f"image at {raw}"
     for member_coords, rows in ARGMAX_TABLES:
         member = poly(*member_coords)
         for raw, expected in rows:
-            face = dm.exposed_face(member, direction(raw))
+            face = dm.exposed_face(member, raw)
             assert vertex_set(face) == set(expected), f"face of {member_coords} at {raw}"
     _report(2, "7/7 image rows and 4 argmax tables match exactly")
 
@@ -97,10 +95,10 @@ def test_criterion_3_table_conformance_omega1_to_omega3(builtin_orbit):
     for index, table in tables:
         omega = trajectory[index]
         for raw, expected in table:
-            image = converter_image(omega, direction(raw))
+            image = converter_image(omega, raw)
             assert vertex_set(image) == set(expected), f"omega{index} at {raw}"
             checked += 1
-    witness = Direction(1, 2)
+    witness = (1, 2)
     gained = converter_image(trajectory[2], witness)
     base = converter_image(trajectory[0], witness)
     assert dm.Point(-1, 2) in gained.vertices

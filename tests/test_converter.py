@@ -9,7 +9,6 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import demyanov as dm
 from demyanov import (
     Collection,
-    Direction,
     collection_digest,
     convex_hull,
     converter_image,
@@ -37,7 +36,7 @@ from support import (
     TABLE_OMEGA0,
     affine_maps_st,
     coll,
-    direction,
+    directions_st,
     mirror_symmetric,
     mixed_families,
     poly,
@@ -68,7 +67,7 @@ def interior_witness(cell, rng):
         lam, mu = rng.randint(-9, 9), rng.randint(1, 9)
     else:
         lam, mu = rng.randint(1, 9), rng.randint(1, 9)
-    return Direction(lam * a + mu * c, lam * b + mu * d)
+    return lam * a + mu * c, lam * b + mu * d
 
 
 def test_collection_of_dedupes_and_sorts():
@@ -142,11 +141,11 @@ def ray_representatives(omega):
 
 def test_edge_normals_of_triangle():
     rays = ray_representatives(coll(P1))
-    assert set(rays) == {Direction(0, -1), Direction(1, 0), Direction(-1, 2)}
+    assert set(rays) == {(0, -1), (1, 0), (-1, 2)}
 
 
 def test_edge_normals_of_segment_and_point():
-    assert set(ray_representatives(coll(P4))) == {Direction(0, 1), Direction(0, -1)}
+    assert set(ray_representatives(coll(P4))) == {(0, 1), (0, -1)}
     assert ray_representatives(coll(((0, 0),))) == []
 
 
@@ -160,7 +159,7 @@ def test_fan_rays_of_builtin_family_in_ccw_order():
         for k, ray in enumerate(OMEGA0_RAYS)
         for rays in ((ray,), (ray, OMEGA0_RAYS[(k + 1) % len(OMEGA0_RAYS)]))
     ]
-    assert ray_representatives(omega) == [Direction(*ray) for ray in OMEGA0_RAYS]
+    assert ray_representatives(omega) == OMEGA0_RAYS
 
 
 @given(mixed_families_st)
@@ -170,15 +169,18 @@ def test_fan_cell_fields_agree_with_their_int_rays(omega):
         assert all(gcd(a, b) == 1 for a, b in cell.rays)
         assert (cell.kind is CellKind.RAY) == (len(cell.rays) == 1)
         g = cell.representative
+        assert type(g) is tuple and len(g) == 2
+        ga, gb = g
+        assert type(ga) is int and type(gb) is int and gcd(ga, gb) == 1
         if len(cell.rays) == 2:
             # Strictly inside the open sector, also where it is a half turn.
             (a, b), (c, d) = cell.rays
-            assert a * g.b - b * g.a > 0
-            assert g.a * d - g.b * c > 0
+            assert a * gb - b * ga > 0
+            assert ga * d - gb * c > 0
         elif cell.rays:
-            assert (g.a, g.b) == cell.rays[0]
+            assert g == cell.rays[0]
         else:
-            assert g == Direction(1, 0)
+            assert g == (1, 0)
 
 
 @pytest.mark.parametrize("order", BROKEN_RAY_ORDERS.values(), ids=list(BROKEN_RAY_ORDERS))
@@ -193,18 +195,19 @@ def test_broken_ray_order_raises_at_once(monkeypatch, order):
         demyanov_convert(omega)
 
 
-def test_converter_path_builds_no_direction(monkeypatch):
-    def no_direction(*args):
-        raise AssertionError("a Direction was built on the converter path")
+def test_converter_path_reads_no_representative(monkeypatch):
+    # The sweep reads each ray cell's edges, never a cell's witness.
+    def no_witness(cell):
+        raise AssertionError("a representative was read on the converter path")
 
-    monkeypatch.setattr(converter, "Direction", no_direction)
+    monkeypatch.setattr(FanCell, "representative", property(no_witness))
     result = iterate_until_cycle(dm.builtin_counterexample(), 100)
     assert (result.preperiod, result.cycle_length) == (1, 4)
 
 
 def test_fan_rays_of_points_and_segment():
     assert ray_representatives(coll(((0, 0),), ((1, 1),))) == []
-    assert ray_representatives(coll(P4)) == [Direction(0, 1), Direction(0, -1)]
+    assert ray_representatives(coll(P4)) == [(0, 1), (0, -1)]
 
 
 @given(mixed_families_st)
@@ -285,14 +288,14 @@ def test_ccw_order_matches_the_reference_comparator(normals):
 
 @given(mixed_families_st)
 def test_fan_rays_are_in_reference_angular_order(omega):
-    rays = [(d.a, d.b) for d in ray_representatives(omega)]
+    rays = ray_representatives(omega)
     assert rays == sorted(set(rays), key=cmp_to_key(reference_angular_cmp))
 
 
 def test_sector_representative_examples():
-    assert FanCell(((0, -1), (2, -1))).representative == Direction(1, -1)
-    assert FanCell(((1, 0), (-1, 0))).representative == Direction(0, 1)
-    assert FanCell(((2, -1), (1, 0))).representative == Direction(3, -1)
+    assert FanCell(((0, -1), (2, -1))).representative == (1, -1)
+    assert FanCell(((1, 0), (-1, 0))).representative == (0, 1)
+    assert FanCell(((2, -1), (1, 0))).representative == (3, -1)
 
 
 def test_test_directions_cell_counts():
@@ -307,28 +310,34 @@ def test_test_directions_of_point_family_is_single_sector():
     assert len(cells) == 1
     assert cells[0].kind is CellKind.SECTOR
     assert cells[0].rays == ()
-    assert cells[0].representative == Direction(1, 0)
+    assert cells[0].representative == (1, 0)
 
 
 def test_test_directions_of_segment_family():
     cells = converter.test_directions(coll(P4))
     rays = {c.representative for c in cells if c.kind is CellKind.RAY}
     sectors = {c.representative for c in cells if c.kind is CellKind.SECTOR}
-    assert rays == {Direction(0, 1), Direction(0, -1)}
-    assert sectors == {Direction(1, 0), Direction(-1, 0)}
+    assert rays == {(0, 1), (0, -1)}
+    assert sectors == {(1, 0), (-1, 0)}
 
 
 def test_converter_image_matches_case_table():
     omega = coll(*OMEGA0)
     for raw, expected in TABLE_OMEGA0:
-        image = converter_image(omega, direction(raw))
+        image = converter_image(omega, raw)
         assert vertex_set(image) == {(x, y) for x, y in expected}, raw
 
 
 def test_converter_image_on_second_iterate_along_x_axis():
     omega1 = demyanov_convert(coll(*OMEGA0))
-    image = converter_image(omega1, Direction(1, 0))
+    image = converter_image(omega1, (1, 0))
     assert vertex_set(image) == {(-1, 0), (-1, 2), (2, 0), (1, 1)}
+
+
+@given(mixed_families_st, directions_st, st.integers(1, 50))
+def test_converter_image_ignores_positive_scaling(omega, g, scale):
+    a, b = g
+    assert converter_image(omega, (a * scale, b * scale)) == converter_image(omega, g)
 
 
 def test_demyanov_convert_of_builtin_family():

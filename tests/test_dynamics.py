@@ -5,7 +5,6 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from demyanov import (
     Collection,
-    Direction,
     Point,
     builtin_counterexample,
     collection_digest,
@@ -173,11 +172,11 @@ def test_verify_claim_passes_and_reports_witness():
     assert verdict.cycle_length == 4
     assert len(verdict.collections) == 6
     omega2 = verdict.collections[2]
-    gained = converter_image(omega2, Direction(1, 2))
+    gained = converter_image(omega2, (1, 2))
     assert set(gained.vertices) == {
         Point(1, 0), Point(-1, 1), Point(1, 2), Point(2, 0), Point(-1, 2),
     }
-    base = converter_image(verdict.collections[0], Direction(1, 2))
+    base = converter_image(verdict.collections[0], (1, 2))
     assert Point(-1, 2) not in base.vertices
 
 

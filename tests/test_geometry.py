@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from demyanov import Direction, Point, Polytope, convex_hull, exposed_face, geometry
+from demyanov import Point, Polytope, converter_image, convex_hull, exposed_face, geometry
 from demyanov.converter import affine_image
 from demyanov.errors import EmptyInputError
 from demyanov.geometry import _joined_text, _sort_key, bounding_box, support_value
@@ -21,6 +21,7 @@ from support import (
     affine_maps_st,
     affine_polytope,
     coll,
+    directions_st,
     inverse_map,
     poly,
     pt,
@@ -102,9 +103,6 @@ vertex_tuples_st = st.one_of(
     polygons_st.flatmap(with_edge_midpoint),
     convex_position_st([5, 7, 8, 9]).flatmap(lambda h: st.sampled_from(star_orderings(h))),
 )
-directions_st = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
-    lambda ab: ab != (0, 0)
-).map(lambda ab: Direction(*ab))
 
 
 def contains_point(polytope, p):
@@ -276,12 +274,14 @@ def test_polytope_equality_is_vertex_equality(a, b):
     assert p != p.vertices
 
 
-def test_direction_canonicalises_to_primitive():
-    assert Direction(2, -2) == Direction(1, -1)
-    assert Direction(0, 7) == Direction(0, 1)
-    assert Direction(-4, -6) == Direction(-2, -3)
-    with pytest.raises(ValueError):
-        Direction(0, 0)
+def test_direction_entry_points_reject_zero_and_non_int_pairs():
+    omega, member = coll(*OMEGA0), poly(*P1)
+    for entry, shape in [(converter_image, omega), (exposed_face, member), (support_value, member)]:
+        with pytest.raises(ValueError, match="^direction must be nonzero$"):
+            entry(shape, (0, 0))
+        for g in [(1.0, 2), (Fraction(1), 2), (1, Fraction(2))]:
+            with pytest.raises(TypeError, match="^direction components must be integers$"):
+                entry(shape, g)
 
 
 @given(vertex_tuples_st)
@@ -418,42 +418,44 @@ def test_convex_hull_turns_strictly_left(points):
 
 
 def test_support_value_examples():
-    assert support_value(poly(*((2, 0), (-2, 0))), Direction(1, 0)) == 2
-    assert support_value(poly((0, 0)), Direction(3, -7)) == 0
+    assert support_value(poly(*((2, 0), (-2, 0))), (1, 0)) == 2
+    assert support_value(poly((0, 0)), (3, -7)) == 0
     # Boundary ray of the tall triangle: both (0,0) and (1,2) attain 0.
-    assert support_value(poly((1, 2), (-1, 2), (0, 0)), Direction(2, -1)) == 0
+    assert support_value(poly((1, 2), (-1, 2), (0, 0)), (2, -1)) == 0
 
 
 def test_exposed_face_examples():
     p1 = poly((1, 0), (1, 1), (-1, 0))
-    assert vertex_set(exposed_face(p1, Direction(0, -1))) == {(-1, 0), (1, 0)}
+    assert vertex_set(exposed_face(p1, (0, -1))) == {(-1, 0), (1, 0)}
     p3 = poly((1, 2), (-1, 2), (0, 0))
-    assert vertex_set(exposed_face(p3, Direction(1, 1))) == {(1, 2)}
+    assert vertex_set(exposed_face(p3, (1, 1))) == {(1, 2)}
     p2 = poly((-1, 0), (-1, 1), (1, 0))
-    assert vertex_set(exposed_face(p2, Direction(1, 2))) == {(-1, 1), (1, 0)}
+    assert vertex_set(exposed_face(p2, (1, 2))) == {(-1, 1), (1, 0)}
 
 
 def test_exposed_face_of_segment_orthogonal_direction():
     segment = poly((2, 0), (-2, 0))
-    assert exposed_face(segment, Direction(0, 1)) == segment
-    assert exposed_face(segment, Direction(0, -1)) == segment
+    assert exposed_face(segment, (0, 1)) == segment
+    assert exposed_face(segment, (0, -1)) == segment
 
 
 @given(point_lists_st, directions_st)
 def test_exposed_face_attains_support_exactly(points, g):
     hull = convex_hull(points)
     face = exposed_face(hull, g)
-    best = max(v.x * g.a + v.y * g.b for v in hull.vertices)
+    a, b = g
+    best = max(v.x * a + v.y * b for v in hull.vertices)
     assert set(face.vertices) <= set(hull.vertices)
-    assert all(v.x * g.a + v.y * g.b == best for v in face.vertices)
+    assert all(v.x * a + v.y * b == best for v in face.vertices)
     outside = set(hull.vertices) - set(face.vertices)
-    assert all(v.x * g.a + v.y * g.b < best for v in outside)
+    assert all(v.x * a + v.y * b < best for v in outside)
 
 
 @given(point_lists_st, directions_st, st.integers(1, 50))
 def test_exposed_face_ignores_positive_scaling(points, g, scale):
     hull = convex_hull(points)
-    assert exposed_face(hull, Direction(g.a * scale, g.b * scale)) == exposed_face(hull, g)
+    a, b = g
+    assert exposed_face(hull, (a * scale, b * scale)) == exposed_face(hull, g)
 
 
 def test_affine_image_examples():
@@ -493,13 +495,13 @@ def pulled_back(A, g):
     # A^T g, scaled by a positive int to integer components: the direction
     # in which P's face maps to the face of A P + t in direction g.
     (a, b), (c, d) = A
-    u, v = Fraction(a * g.a + c * g.b), Fraction(b * g.a + d * g.b)
+    u, v = Fraction(a * g[0] + c * g[1]), Fraction(b * g[0] + d * g[1])
     scale = lcm(u.denominator, v.denominator)
-    return Direction((u * scale).numerator, (v * scale).numerator)
+    return (u * scale).numerator, (v * scale).numerator
 
 
 @given(point_lists_st, affine_maps_st, directions_st)
-@example([pt(1, 0), pt(1, 1), pt(-1, 0)], (MIRROR, (0, 0)), Direction(1, 2))
+@example([pt(1, 0), pt(1, 1), pt(-1, 0)], (MIRROR, (0, 0)), (1, 2))
 def test_exposed_face_commutes_with_affine_maps(points, phi, g):
     hull = convex_hull(points)
     A, t = phi

@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "Collection",
     "CycleResult",
     "DemyanovError",
-    "Direction",
     "EmptyInputError",
     "FanInvariantError",
     "GenerationFailedError",
