@@ -12,7 +12,6 @@ from .converter import (
     collection_digest,
     converter_image,
     demyanov_convert,
-    sampled_convert,
 )
 from .dynamics import (
     ClaimVerdict,
@@ -29,12 +28,11 @@ from .errors import (
     ClaimViolatedError,
     DemyanovError,
     EmptyInputError,
-    FanInvariantError,
     GenerationFailedError,
     ParseError,
 )
 from .familyio import parse_family, serialize_family
-from .geometry import Point, Polytope, convex_hull, exposed_face
+from .geometry import Point, Polytope, convex_hull
 from .render import render_svg
 
 __version__ = "0.1.0"
@@ -47,7 +45,6 @@ __all__ = [
     "CycleResult",
     "DemyanovError",
     "EmptyInputError",
-    "FanInvariantError",
     "GenerationFailedError",
     "ParseError",
     "Point",
@@ -58,12 +55,10 @@ __all__ = [
     "converter_image",
     "convex_hull",
     "demyanov_convert",
-    "exposed_face",
     "iterate_until_cycle",
     "parse_family",
     "random_family",
     "render_svg",
-    "sampled_convert",
     "search_cycles",
     "serialize_family",
     "verify_claim",

@@ -19,7 +19,6 @@ from .errors import (
     CapExceededError,
     ClaimViolatedError,
     EmptyInputError,
-    FanInvariantError,
     GenerationFailedError,
     ParseError,
 )
@@ -167,7 +166,7 @@ def _cmd_verify_claim(args) -> int:
         verdict, failed = verify_claim(), ()
     except ClaimViolatedError as exc:
         verdict, failed = exc.verdict, exc.failed
-    for name, ok in verdict.assertions if verdict is not None else ():
+    for name, ok in verdict.assertions:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
     if failed:
         print(f"claim violated: {', '.join(failed)}", file=sys.stderr)
@@ -203,6 +202,8 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EX_USAGE
+    except SystemExit as exc:  # --help has printed its text to stdout
+        return exc.code
     if getattr(args, "handler", None) is None:
         parser.print_usage(sys.stderr)
         return EX_USAGE
@@ -214,7 +215,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_NOINPUT
-    except (CapExceededError, ClaimViolatedError, FanInvariantError) as exc:
+    except (CapExceededError, ClaimViolatedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_SOFTWARE
 

@@ -23,9 +23,9 @@ test_directions computes each member edge's outward normal once, orders
 the distinct normals counterclockwise by an exact int key (the half-plane,
 then floor(-a/b * 2^k) with 2^k above every product |b1 b2|) and lists,
 on each ray cell, the member edges normal to that ray. Cells keep their
-rays as those primitive int pairs, each consecutive pair checked in ints;
-a cell's witness direction, a primitive int pair too, is made from its
-own rays only when read, which the sweep never does. demyanov_convert
+rays as those primitive int pairs; a cell's witness direction, a
+primitive int pair too, is made from its own rays only when read, which
+the sweep never does. demyanov_convert
 sweeps the rays once, reading those lists: a member whose edge
 (v_i, v_{i+1}) has the current ray as outward normal exposes v_i just
 before the ray, the edge on it and v_{i+1} after it, and every other
@@ -47,7 +47,7 @@ from enum import Enum
 from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import EmptyInputError, FanInvariantError
+from .errors import EmptyInputError
 from .geometry import Point, Polytope, convex_hull
 from .geometry import _Canonical, _Sorted, _as_rational, _direction, _joined_text, _sort_key
 
@@ -140,15 +140,6 @@ def _ccw_order(normals: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return sorted(normals, key=angle)
 
 
-def _check_sector(start: tuple[int, int], end: tuple[int, int]) -> None:
-    # Consecutive fan rays bound a sector narrower than a half turn (their
-    # cross product is positive) or exactly a half turn (they are opposite).
-    (a, b), (c, d) = start, end
-    cross = a * d - b * c
-    if cross <= 0 and (cross or c != -a or d != -b):
-        raise FanInvariantError(f"rays {start} and {end} do not bound a sector")
-
-
 def test_directions(omega: Collection) -> list[FanCell]:
     """Fan cells covering every nonzero direction, one witness each.
 
@@ -156,8 +147,7 @@ def test_directions(omega: Collection) -> list[FanCell]:
     representatives enumerates the full image set. The rays, in
     counterclockwise order from (1, 0), are the members' outward edge
     normals; each ray cell lists the edges normal to it. A fan without rays
-    collapses to a single sector with representative (1, 0). A broken ray
-    order raises FanInvariantError here, before any witness is read.
+    collapses to a single sector with representative (1, 0).
     """
     on_ray: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for m, member in enumerate(omega.members):
@@ -182,7 +172,6 @@ def test_directions(omega: Collection) -> list[FanCell]:
     rays = _ccw_order(list(on_ray))
     cells: list[FanCell] = []
     for ray, nxt in zip(rays, rays[1:] + rays[:1]):
-        _check_sector(ray, nxt)
         cells.append(FanCell((ray,), tuple(on_ray[ray])))
         cells.append(FanCell((ray, nxt)))
     return cells

@@ -11,10 +11,6 @@ class EmptyInputError(DemyanovError):
     """An operation that needs at least one point or polytope got none."""
 
 
-class FanInvariantError(DemyanovError):
-    """An internal fan-structure assumption was broken."""
-
-
 class CapExceededError(DemyanovError):
     """No repeated collection appeared within the iteration cap."""
 
@@ -38,7 +34,7 @@ class GenerationFailedError(DemyanovError):
 class ClaimViolatedError(DemyanovError):
     """A cycle-structure assertion about the bundled family failed."""
 
-    def __init__(self, failed: tuple[str, ...], verdict=None):
+    def __init__(self, failed: tuple[str, ...], verdict):
         super().__init__("claim assertions failed: " + ", ".join(failed))
         self.failed = tuple(failed)
         self.verdict = verdict

@@ -19,11 +19,11 @@ from demyanov import (
     parse_family,
     random_family,
     render_svg,
-    sampled_convert,
     serialize_family,
 )
 from demyanov.cli import EX_OK, cli_dispatch
-from demyanov.converter import affine_image, representative_bound
+from demyanov.converter import affine_image, representative_bound, sampled_convert
+from demyanov.geometry import exposed_face
 
 from support import (
     ARGMAX_TABLES,
@@ -83,7 +83,7 @@ def test_criterion_2_table_conformance_omega0():
     for member_coords, rows in ARGMAX_TABLES:
         member = poly(*member_coords)
         for raw, expected in rows:
-            face = dm.exposed_face(member, raw)
+            face = exposed_face(member, raw)
             assert vertex_set(face) == set(expected), f"face of {member_coords} at {raw}"
     _report(2, "7/7 image rows and 4 argmax tables match exactly")
 

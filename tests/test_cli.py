@@ -23,8 +23,6 @@ from demyanov.cli import (
     cli_dispatch,
 )
 
-from support import BROKEN_RAY_ORDERS
-
 
 def run(capsys, *argv):
     code = cli_dispatch(list(argv))
@@ -189,14 +187,12 @@ def test_verify_claim_failure_prints_verdict_and_exits_70(monkeypatch, capsys):
     assert "claim violated: breaks" in err
 
 
-@pytest.mark.parametrize("order", BROKEN_RAY_ORDERS.values(), ids=list(BROKEN_RAY_ORDERS))
-def test_broken_fan_exits_70_with_error_line(monkeypatch, capsys, order):
-    monkeypatch.setattr("demyanov.converter._ccw_order", order)
-    code, out, err = run(capsys, "convert", "--builtin")
-    assert code == EX_SOFTWARE
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+@pytest.mark.parametrize("argv", [("--help",), ("search", "--help")])
+def test_help_returns_0_with_usage_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EX_OK
+    assert out.startswith("usage: demyanov")
+    assert err == ""
 
 
 @pytest.mark.parametrize(

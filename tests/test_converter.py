@@ -13,9 +13,7 @@ from demyanov import (
     convex_hull,
     converter_image,
     demyanov_convert,
-    exposed_face,
     iterate_until_cycle,
-    sampled_convert,
 )
 from demyanov import converter
 from demyanov.converter import (
@@ -23,11 +21,12 @@ from demyanov.converter import (
     FanCell,
     affine_image,
     representative_bound,
+    sampled_convert,
 )
-from demyanov.errors import EmptyInputError, FanInvariantError
+from demyanov.errors import EmptyInputError
+from demyanov.geometry import exposed_face
 
 from support import (
-    BROKEN_RAY_ORDERS,
     MIRROR,
     OMEGA0,
     OMEGA1,
@@ -183,16 +182,23 @@ def test_fan_cell_fields_agree_with_their_int_rays(omega):
             assert g == (1, 0)
 
 
-@pytest.mark.parametrize("order", BROKEN_RAY_ORDERS.values(), ids=list(BROKEN_RAY_ORDERS))
-def test_broken_ray_order_raises_at_once(monkeypatch, order):
-    # Consecutive rays are checked while the fan is built, not when a
-    # cell's representative is first read.
-    monkeypatch.setattr(converter, "_ccw_order", order)
-    omega = coll(*OMEGA0)
-    with pytest.raises(FanInvariantError):
-        converter.test_directions(omega)
-    with pytest.raises(FanInvariantError):
-        demyanov_convert(omega)
+@given(mixed_families_st)
+# One segment: two opposite rays, each sector a half turn.
+@example(coll(P4))
+# Two non-parallel segments: four rays, each sector a quarter turn.
+@example(coll(((0, 0), (1, 0)), ((0, 0), (0, 1))))
+# Points only: no rays, so no sector between two of them.
+@example(coll(((0, 0),), ((1, 1),)))
+def test_consecutive_fan_rays_bound_at_most_a_half_turn(omega):
+    # A polygon's normals leave no gap as wide as a half turn, a segment
+    # adds n and -n, and a point adds none, so every sector turns
+    # counterclockwise by less than a half turn, or by exactly one between
+    # opposite rays.
+    for cell in converter.test_directions(omega):
+        if len(cell.rays) == 2:
+            (a, b), (c, d) = cell.rays
+            cross = a * d - b * c
+            assert cross > 0 or (cross == 0 and (c, d) == (-a, -b)), cell.rays
 
 
 def test_converter_path_reads_no_representative(monkeypatch):

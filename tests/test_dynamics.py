@@ -12,13 +12,12 @@ from demyanov import (
     demyanov_convert,
     iterate_until_cycle,
     random_family,
-    sampled_convert,
     search_cycles,
     serialize_family,
     verify_claim,
 )
 from demyanov.cli import cli_dispatch
-from demyanov.converter import affine_image, representative_bound
+from demyanov.converter import affine_image, representative_bound, sampled_convert
 from demyanov.errors import CapExceededError, GenerationFailedError
 
 from support import (

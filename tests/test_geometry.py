@@ -7,10 +7,10 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from demyanov import Point, Polytope, converter_image, convex_hull, exposed_face, geometry
+from demyanov import Point, Polytope, converter_image, convex_hull, geometry
 from demyanov.converter import affine_image
 from demyanov.errors import EmptyInputError
-from demyanov.geometry import _joined_text, _sort_key, bounding_box, support_value
+from demyanov.geometry import _joined_text, _sort_key, bounding_box, exposed_face, support_value
 
 from support import (
     MIRROR,
