@@ -25,7 +25,6 @@ from .dynamics import (
 )
 from .errors import (
     CapExceededError,
-    ClaimViolatedError,
     DemyanovError,
     EmptyInputError,
     GenerationFailedError,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceededError",
     "ClaimVerdict",
-    "ClaimViolatedError",
     "Collection",
     "CycleResult",
     "DemyanovError",

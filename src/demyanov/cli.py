@@ -17,7 +17,6 @@ from .dynamics import (
 )
 from .errors import (
     CapExceededError,
-    ClaimViolatedError,
     EmptyInputError,
     GenerationFailedError,
     ParseError,
@@ -33,12 +32,15 @@ EX_SOFTWARE = 70
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        # The usage of the parser that failed: a subcommand's own flags.
+        raise _UsageError(message, self.format_usage())
 
 
 def _int_in_range(minimum: int, maximum: int | None = None):
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_family(args):
-    if getattr(args, "builtin", False):
+    if args.builtin:
         return builtin_counterexample()
     try:
         text = Path(args.infile).read_text(encoding="utf-8")
@@ -162,14 +164,12 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_verify_claim(args) -> int:
-    try:
-        verdict, failed = verify_claim(), ()
-    except ClaimViolatedError as exc:
-        verdict, failed = exc.verdict, exc.failed
+    verdict = verify_claim()
     for name, ok in verdict.assertions:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-    if failed:
-        print(f"claim violated: {', '.join(failed)}", file=sys.stderr)
+    if not verdict.passed:
+        failed = ", ".join(name for name, ok in verdict.assertions if not ok)
+        print(f"claim violated: {failed}", file=sys.stderr)
         return EX_SOFTWARE
     print(f"N={verdict.preperiod} L={verdict.cycle_length}")
     return EX_OK
@@ -200,7 +200,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        sys.stderr.write(exc.usage)
         return EX_USAGE
     except SystemExit as exc:  # --help has printed its text to stdout
         return exc.code
@@ -215,7 +215,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_NOINPUT
-    except (CapExceededError, ClaimViolatedError) as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_SOFTWARE
 

@@ -19,7 +19,7 @@ from .converter import (
     converter_image,
     demyanov_convert,
 )
-from .errors import CapExceededError, ClaimViolatedError, GenerationFailedError
+from .errors import CapExceededError, GenerationFailedError
 from .geometry import Point, convex_hull
 
 DEFAULT_CAP = 10_000
@@ -112,8 +112,8 @@ def verify_claim() -> ClaimVerdict:
     Computes the first five iterates, asserts that the fifth equals the
     first but differs from the third, that the minimal cycle length is 4,
     and that the image of the second iterate in direction (1, 2) picks up
-    the vertex (-1, 2) which the starting family's image lacks. Raises
-    ClaimViolatedError naming any failed assertion.
+    the vertex (-1, 2) which the starting family's image lacks. Returns
+    the verdict holding every assertion, passed or failed.
     """
     orbit = [builtin_counterexample()]
     for _ in range(5):
@@ -128,12 +128,7 @@ def verify_claim() -> ClaimVerdict:
         ("witness vertex gained by image of omega2", gained),
         ("witness vertex absent from image of omega0", absent),
     )
-    verdict = ClaimVerdict(tuple(orbit), assertions, result.preperiod, result.cycle_length)
-    if not verdict.passed:
-        raise ClaimViolatedError(
-            tuple(name for name, ok in assertions if not ok), verdict
-        )
-    return verdict
+    return ClaimVerdict(tuple(orbit), assertions, result.preperiod, result.cycle_length)
 
 
 def random_family(

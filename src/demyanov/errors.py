@@ -14,7 +14,7 @@ class EmptyInputError(DemyanovError):
 class CapExceededError(DemyanovError):
     """No repeated collection appeared within the iteration cap."""
 
-    def __init__(self, cap: int, trajectory: tuple = ()):
+    def __init__(self, cap: int, trajectory: tuple):
         super().__init__(f"no cycle detected within {cap} iterations")
         self.cap = cap
         self.trajectory = trajectory
@@ -29,15 +29,6 @@ class GenerationFailedError(DemyanovError):
         )
         self.requested = requested
         self.attempts = attempts
-
-
-class ClaimViolatedError(DemyanovError):
-    """A cycle-structure assertion about the bundled family failed."""
-
-    def __init__(self, failed: tuple[str, ...], verdict):
-        super().__init__("claim assertions failed: " + ", ".join(failed))
-        self.failed = tuple(failed)
-        self.verdict = verdict
 
 
 class ParseError(DemyanovError):

@@ -5,7 +5,6 @@ import pytest
 
 from demyanov import (
     ClaimVerdict,
-    ClaimViolatedError,
     builtin_counterexample,
     demyanov_convert,
     parse_family,
@@ -122,6 +121,13 @@ def test_no_subcommand_is_usage_error(capsys):
     assert code == EX_USAGE
 
 
+def test_subcommand_usage_error_prints_its_own_usage(capsys):
+    code, _, err = run(capsys, "convert")
+    assert code == EX_USAGE
+    assert err.startswith("error: one of the arguments --in --builtin is required\n")
+    assert "usage: demyanov convert" in err
+
+
 def test_conflicting_input_flags_are_usage_error(tmp_path, capsys):
     src = tmp_path / "in.json"
     src.write_text(serialize_family(builtin_counterexample()))
@@ -175,11 +181,7 @@ def test_malformed_document_maps_to_data_exit_code(tmp_path, capsys, content):
 
 def test_verify_claim_failure_prints_verdict_and_exits_70(monkeypatch, capsys):
     verdict = ClaimVerdict((), (("holds", True), ("breaks", False)), 1, 2)
-
-    def failing_claim():
-        raise ClaimViolatedError(("breaks",), verdict)
-
-    monkeypatch.setattr("demyanov.cli.verify_claim", failing_claim)
+    monkeypatch.setattr("demyanov.cli.verify_claim", lambda: verdict)
     code, out, err = run(capsys, "verify-claim")
     assert code == EX_SOFTWARE
     assert out == "PASS holds\nFAIL breaks\n"
@@ -206,6 +208,7 @@ def test_help_returns_0_with_usage_on_stdout(capsys, argv):
             EX_DATAERR,
             "could not generate 50 distinct polytopes",
         ),
+        (("iterate", "--builtin", "--cap", "abc"), EX_USAGE, "invalid integer: 'abc'"),
     ],
 )
 def test_out_of_range_arguments_map_to_documented_exit_codes(capsys, argv, expected, message):

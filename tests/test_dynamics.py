@@ -179,6 +179,18 @@ def test_verify_claim_passes_and_reports_witness():
     assert Point(-1, 2) not in base.vertices
 
 
+def test_verify_claim_returns_failing_verdict(monkeypatch):
+    # The segment family cycles with length 2, so three of the length-4
+    # facts fail, and verify_claim returns a verdict that says so.
+    monkeypatch.setattr(
+        "demyanov.dynamics.builtin_counterexample", lambda: coll(((2, 0), (-2, 0)))
+    )
+    verdict = verify_claim()
+    assert not verdict.passed
+    assert [ok for _, ok in verdict.assertions] == [True, False, False, False, True]
+    assert verdict.cycle_length == 2
+
+
 def test_random_family_deterministic_in_seed():
     a = random_family(4, 3, 2, seed=42)
     b = random_family(4, 3, 2, seed=42)
@@ -191,6 +203,9 @@ def test_random_family_degenerate_parameter_space():
     assert random_family(1, 1, 0, seed=7) == coll(((0, 0),))
     with pytest.raises(GenerationFailedError):
         random_family(3, 1, 0, seed=7)
+    for params in ((0, 1, 0), (1, 0, 0), (1, 1, -1)):
+        with pytest.raises(ValueError):
+            random_family(*params, seed=7)
 
 
 def test_random_family_respects_bounds():
@@ -210,6 +225,15 @@ def test_search_cycles_deterministic():
     assert sum(count for _, count in a.histogram) == 25 - a.cap_exceeded
     assert a.max_l_witness is not None
     assert dict(a.histogram)[a.histogram[-1][0]] >= 1
+
+
+def test_search_cycles_counts_capped_instances():
+    report = search_cycles((3, 4, 3), 20, 4, base_seed=0)
+    assert report.cap_exceeded == 3
+    assert report.histogram == ((2, 17),)
+    assert sum(count for _, count in report.histogram) == (
+        report.instances_run - report.cap_exceeded
+    )
 
 
 def test_search_cycles_with_injected_builtin_family():

@@ -135,6 +135,8 @@ def test_convex_hull_duplicates_collapse_to_point():
 def test_convex_hull_empty_input_rejected():
     with pytest.raises(EmptyInputError):
         convex_hull([])
+    with pytest.raises(EmptyInputError):
+        Polytope(())
 
 
 def test_convex_hull_rational_coordinates():

@@ -9,7 +9,6 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "CapExceededError",
     "ClaimVerdict",
-    "ClaimViolatedError",
     "Collection",
     "CycleResult",
     "DemyanovError",
