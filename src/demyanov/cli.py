@@ -31,16 +31,10 @@ EX_NOINPUT = 66
 EX_SOFTWARE = 70
 
 
-class _UsageError(Exception):
-    def __init__(self, message: str, usage: str):
-        super().__init__(message)
-        self.usage = usage
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # The usage of the parser that failed: a subcommand's own flags.
-        raise _UsageError(message, self.format_usage())
+        self.exit(EX_USAGE, f"error: {message}\n{self.format_usage()}")
 
 
 def _int_in_range(minimum: int, maximum: int | None = None):
@@ -86,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="demyanov",
         description="Demyanov converter dynamics on families of planar polytopes",
     )
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("builtin", help="emit the bundled counterexample family")
     p.add_argument("--out", metavar="FILE")
@@ -114,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="survey cycle lengths over seeded random families")
     p.add_argument("--instances", default=100, **_up_to(MAX_INSTANCES))
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--num-polytopes", default=3, **_up_to(MAX_POLYTOPES))
     p.add_argument("--max-vertices", default=4, **_up_to(MAX_VERTICES))
     p.add_argument("--coord-bound", type=_non_negative_int, default=3)
@@ -198,15 +192,8 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.stderr.write(exc.usage)
-        return EX_USAGE
-    except SystemExit as exc:  # --help has printed its text to stdout
+    except SystemExit as exc:  # --help or a usage error has printed its text
         return exc.code
-    if getattr(args, "handler", None) is None:
-        parser.print_usage(sys.stderr)
-        return EX_USAGE
     try:
         return args.handler(args)
     except (ParseError, EmptyInputError, GenerationFailedError) as exc:

@@ -138,13 +138,14 @@ def random_family(
 
     Each member is the hull of 1..max_vertices points drawn uniformly from
     the integer square [-coord_bound, coord_bound]^2 with Python's Mersenne
-    Twister, so equal seeds give equal families on every platform. Members
-    that collide with earlier ones are redrawn; GenerationFailedError is
-    raised once the retry budget is spent (the parameter space is too
+    Twister, so equal seeds give equal families on every platform. Seeds
+    are non-negative, since Random(-k) draws the same stream as Random(k).
+    Members that collide with earlier ones are redrawn; GenerationFailedError
+    is raised once the retry budget is spent (the parameter space is too
     small to hold num_polytopes distinct members).
     """
-    if num_polytopes < 1 or max_vertices < 1 or coord_bound < 0:
-        raise ValueError("num_polytopes and max_vertices must be >= 1, coord_bound >= 0")
+    if num_polytopes < 1 or max_vertices < 1 or coord_bound < 0 or seed < 0:
+        raise ValueError("num_polytopes and max_vertices must be >= 1, coord_bound and seed >= 0")
     rng = random.Random(seed)
     budget = 64 * num_polytopes
     members: dict = {}

@@ -110,15 +110,11 @@ def test_search_is_deterministic(capsys):
     assert "max_L=" in out_a
 
 
-def test_unknown_subcommand_is_usage_error(capsys):
-    code, _, err = run(capsys, "frobnicate")
-    assert code == EX_USAGE
-    assert "usage:" in err
-
-
 def test_no_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == EX_USAGE
+    assert err.startswith("error: the following arguments are required: command\n")
+    assert "usage: demyanov" in err
 
 
 def test_subcommand_usage_error_prints_its_own_usage(capsys):
@@ -126,18 +122,6 @@ def test_subcommand_usage_error_prints_its_own_usage(capsys):
     assert code == EX_USAGE
     assert err.startswith("error: one of the arguments --in --builtin is required\n")
     assert "usage: demyanov convert" in err
-
-
-def test_conflicting_input_flags_are_usage_error(tmp_path, capsys):
-    src = tmp_path / "in.json"
-    src.write_text(serialize_family(builtin_counterexample()))
-    code, _, _ = run(capsys, "iterate", "--in", str(src), "--builtin")
-    assert code == EX_USAGE
-
-
-def test_missing_input_file_maps_to_file_exit_code(tmp_path, capsys):
-    code, _, err = run(capsys, "convert", "--in", str(tmp_path / "absent.json"))
-    assert code == EX_NOINPUT
 
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -209,13 +193,40 @@ def test_help_returns_0_with_usage_on_stdout(capsys, argv):
             "could not generate 50 distinct polytopes",
         ),
         (("iterate", "--builtin", "--cap", "abc"), EX_USAGE, "invalid integer: 'abc'"),
+        pytest.param(
+            ("search", "--seed", "abc"), EX_USAGE, "invalid integer: 'abc'", id="seed-abc"
+        ),
+        pytest.param(
+            ("search", "--seed", "-1"), EX_USAGE, "must be at least 0, got -1", id="seed-negative"
+        ),
+        pytest.param(
+            ("frobnicate",), EX_USAGE, "invalid choice: 'frobnicate'", id="unknown-subcommand"
+        ),
+        pytest.param(
+            ("iterate", "--in", "in.json", "--builtin"),
+            EX_USAGE,
+            "argument --builtin: not allowed with argument --in",
+            id="conflicting-input-flags",
+        ),
+        pytest.param(
+            ("convert", "--in", "absent.json"),
+            EX_NOINPUT,
+            "No such file or directory",
+            id="missing-input-file",
+        ),
     ],
 )
-def test_out_of_range_arguments_map_to_documented_exit_codes(capsys, argv, expected, message):
+def test_out_of_range_arguments_map_to_documented_exit_codes(
+    tmp_path, monkeypatch, capsys, argv, expected, message
+):
+    monkeypatch.chdir(tmp_path)  # where absent.json is absent
     code, _, err = run(capsys, *argv)
     assert code == expected
     assert message in err
     assert "Traceback" not in err
+    if expected == EX_USAGE:
+        assert err.startswith("error: ")
+        assert "usage: demyanov" in err
 
 
 @pytest.mark.parametrize(

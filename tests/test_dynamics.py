@@ -206,6 +206,9 @@ def test_random_family_degenerate_parameter_space():
     for params in ((0, 1, 0), (1, 0, 0), (1, 1, -1)):
         with pytest.raises(ValueError):
             random_family(*params, seed=7)
+    # Random(-k) draws the same stream as Random(k).
+    with pytest.raises(ValueError):
+        random_family(1, 1, 0, seed=-1)
 
 
 def test_random_family_respects_bounds():
