@@ -11,11 +11,14 @@ Point also takes ints) and that each error names its vertex.
 
 Every iterate of the converter is spanned by vertices of the family it
 started from, so a document lists few distinct vertices, many times over.
-parse_family therefore parses each distinct [x, y] literal pair once, at
-its first occurrence (which an error then names), and every later
-occurrence shares that one immutable Point. The memo lives for one call,
-so it holds at most one entry per vertex of the document. Each member is
-still hulled on its own and the members deduplicated once.
+parse_family therefore reads each distinct coordinate literal once, into
+one Fraction that every equal literal shares (so equal coordinates compare
+by identity), and builds each distinct [x, y] literal pair's Point once,
+at its first occurrence (which an error then names), for every later
+occurrence to share. Both memos live for one call. Each member is still
+hulled on its own and the members deduplicated once. serialize_family
+likewise formats each distinct vertex once and lists that text in every
+slot.
 """
 
 from __future__ import annotations
@@ -29,13 +32,16 @@ from .geometry import Point, _as_rational, convex_hull
 FORMAT_VERSION = "1"
 
 
-def _parse_rational(raw, where: str):
+def _parse_rational(raw, where: str, literals: dict):
     if not isinstance(raw, str):
         raise ParseError(f"{where}: coordinate must be a string, got {type(raw).__name__}")
-    try:
-        return _as_rational(raw)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+    value = literals.get(raw)
+    if value is None:
+        try:
+            value = literals[raw] = _as_rational(raw)
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+    return value
 
 
 def parse_family(text: str) -> Collection:
@@ -62,10 +68,12 @@ def parse_family(text: str) -> Collection:
         raise ParseError("'polytopes' must be a list of vertex lists")
     if not polytopes:
         raise EmptyInputError("document contains no polytopes")
-    # The Point of each distinct literal pair parsed so far. A pair with a
-    # non-string coordinate gets the key None, which is never stored: its
-    # parse always raises.
+    # The Point of each distinct literal pair parsed so far, and the
+    # Fraction of each distinct coordinate literal. A pair with a non-string
+    # coordinate gets the key None, which is never stored: its parse always
+    # raises.
     seen: dict[tuple[str, str] | None, Point] = {}
+    literals = {}
     members = []
     for i, vertex_list in enumerate(polytopes):
         if not isinstance(vertex_list, list) or not vertex_list:
@@ -79,7 +87,9 @@ def parse_family(text: str) -> Collection:
             point = seen.get(key)
             if point is None:
                 where = f"polytope {i} vertex {j}"
-                point = seen[key] = Point(_parse_rational(x, where), _parse_rational(y, where))
+                point = seen[key] = Point(
+                    _parse_rational(x, where, literals), _parse_rational(y, where, literals)
+                )
             points.append(point)
         members.append(convex_hull(points))
     return Collection.of(members)
@@ -88,10 +98,11 @@ def parse_family(text: str) -> Collection:
 def serialize_family(omega: Collection) -> str:
     """Canonical document text: sorted members, reduced rationals, fixed
     field order, byte-identical for equal collections."""
+    # Each distinct vertex's [x, y] text, keyed by its lift (canonical for its point).
+    distinct = {v._lift: v for member in omega.members for v in member.vertices}
+    texts = {lift: [str(v.x), str(v.y)] for lift, v in distinct.items()}
     doc = {
         "version": FORMAT_VERSION,
-        "polytopes": [
-            [[str(v.x), str(v.y)] for v in member.vertices] for member in omega.members
-        ],
+        "polytopes": [[texts[v._lift] for v in member.vertices] for member in omega.members],
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"

@@ -222,14 +222,14 @@ def convex_hull(points: Iterable[Point]) -> Polytope:
     return Polytope(_hull_vertices(points))
 
 
-def bounding_box(polytopes: Iterable[Polytope]) -> tuple:
-    """(min x, max x, min y, max y) over every vertex of the polytopes.
+def bounding_box(points: Iterable[Point]) -> tuple:
+    """(min x, max x, min y, max y) over the points.
 
     Each bound is exact: an int where the coordinate is one, else a
-    Fraction. It is read from the stored vertex keys, so comparisons are
+    Fraction. It is read from the stored point keys, so comparisons are
     between ints except among values within 2^-32 of each other.
     """
-    keys = [k for p in polytopes for k in p._key]
+    keys = [p._key for p in points]
     return (
         min(keys, key=_x_part)[1],
         max(keys, key=_x_part)[1],

@@ -8,11 +8,14 @@ row, and member i drawn in PALETTE[i % 6].
 Coordinates are exact and formatted with a fixed rule, so identical inputs
 yield byte-identical output everywhere. The bounding box (read from the
 stored vertex keys), the scale and the offset shared by all panels are
-rationals made once per collection. Each vertex is then placed from its
-stored integer lift (X, Y, W) as an unreduced int pair (numerator,
-denominator), with no Fraction arithmetic per panel or per vertex.
-Rounding half up to 4 places takes the floor of a ratio that a common
-positive factor of the pair leaves unchanged, so no pair is reduced.
+rationals made once per collection. Members share vertices, so each
+distinct vertex is placed once, from its stored integer lift (X, Y, W),
+as an unreduced int pair (numerator, denominator) with no Fraction
+arithmetic. Rounding half up to 4 places takes the floor of a ratio that
+a common positive factor of the pair leaves unchanged, so no pair is
+reduced. Every offset inside a panel is at least MARGIN, because the
+span bounds both extents of the box; so rounding it commutes with adding
+the panel's integer origin, which each slot adds to the whole part.
 """
 
 from __future__ import annotations
@@ -35,23 +38,20 @@ MARGIN = 16
 PER_ROW = 4
 
 
-def _fmt(num: int, den: int) -> str:
-    # num/den (den > 0) in fixed point, at most 4 places, round half up.
-    # The pair need not be reduced: a common positive factor of num and den
-    # leaves the floor unchanged.
-    scaled = (abs(num) * 20_000 + den) // (2 * den)
-    if scaled == 0:
-        return "0"
-    sign = "-" if num < 0 else ""
-    whole, frac = divmod(scaled, 10_000)
-    if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{f'{frac:04d}'.rstrip('0')}"
+def _fixed_point(num: int, den: int) -> tuple[int, str]:
+    # num/den >= 0 (den > 0) in fixed point, at most 4 places, round half
+    # up, as its whole part and its ".dddd" text ("" when whole). The pair
+    # need not be reduced: a common positive factor of num and den leaves
+    # the floor unchanged.
+    whole, frac = divmod((num * 20_000 + den) // (2 * den), 10_000)
+    return whole, f".{frac:04d}".rstrip("0") if frac else ""
 
 
 def render_svg(omega: Collection) -> str:
     """Render each member of the collection into its own panel."""
-    min_x, max_x, min_y, max_y = bounding_box(omega.members)
+    # A lift is canonical for its point, so it keys the distinct vertices.
+    distinct = {v._lift: v for member in omega.members for v in member.vertices}
+    min_x, max_x, min_y, max_y = bounding_box(distinct.values())
     width_units = max_x - min_x
     height_units = max_y - min_y
     span = max(width_units, height_units)
@@ -59,15 +59,18 @@ def render_svg(omega: Collection) -> str:
     scale = inner / span if span > 0 else Fraction(1)
     pad_x = (inner - width_units * scale) / 2
     pad_y = (inner - height_units * scale) / 2
-    # A vertex (x, y) drawn in the panel at (panel_x, panel_y) lands at
-    # (panel_x + ox + x * scale, panel_y + oy - y * scale). From its lift
-    # (X, Y, W) that is (X * xa + W * (panel_x * xd + xb)) / (W * xd)
-    # across and (W * (panel_y * yd + yb) - Y * ya) / (W * yd) down.
+    # A vertex (x, y) lands at (ox + x * scale, oy - y * scale) inside its
+    # panel. From its lift (X, Y, W) that is (X * xa + W * xb) / (W * xd)
+    # across and (W * yb - Y * ya) / (W * yd) down, each at least MARGIN.
     ox = MARGIN + pad_x - min_x * scale
     oy = MARGIN + pad_y + max_y * scale
     sn, sd = scale.numerator, scale.denominator
     xa, xb, xd = sn * ox.denominator, ox.numerator * sd, sd * ox.denominator
     ya, yb, yd = sn * oy.denominator, oy.numerator * sd, sd * oy.denominator
+    placed = {
+        (X, Y, W): (_fixed_point(X * xa + W * xb, W * xd), _fixed_point(W * yb - Y * ya, W * yd))
+        for X, Y, W in distinct
+    }
 
     count = len(omega.members)
     cols = min(count, PER_ROW)
@@ -83,10 +86,9 @@ def render_svg(omega: Collection) -> str:
     for i, member in enumerate(omega.members):
         panel_x = (i % PER_ROW) * PANEL_SIZE
         panel_y = (i // PER_ROW) * PANEL_SIZE
-        bx, by = panel_x * xd + xb, panel_y * yd + yb
         points = [
-            (_fmt(X * xa + W * bx, W * xd), _fmt(W * by - Y * ya, W * yd))
-            for X, Y, W in [v._lift for v in member.vertices]
+            (f"{wx + panel_x}{fx}", f"{wy + panel_y}{fy}")
+            for (wx, fx), (wy, fy) in [placed[v._lift] for v in member.vertices]
         ]
 
         fill, stroke = PALETTE[i % len(PALETTE)]

@@ -523,4 +523,5 @@ _THIRD, _TINY = Fraction(1, 3), Fraction(1, 10**12)
 def test_bounding_box_matches_fraction_min_max(polytopes):
     xs = [v.x for p in polytopes for v in p.vertices]
     ys = [v.y for p in polytopes for v in p.vertices]
-    assert bounding_box(polytopes) == (min(xs), max(xs), min(ys), max(ys))
+    points = [v for p in polytopes for v in p.vertices]
+    assert bounding_box(points) == (min(xs), max(xs), min(ys), max(ys))

@@ -212,11 +212,11 @@ def test_parse_rational_agrees_with_fraction_literals(raw):
     except ValueError:
         text = "literal exceeds the integer digit limit"
     else:
-        assert _parse_rational(raw, "w") == expected
+        assert _parse_rational(raw, "w", {}) == expected
         assert Point(raw, 0).x == expected
         return
     with pytest.raises(ParseError) as err:
-        _parse_rational(raw, "w")
+        _parse_rational(raw, "w", {})
     assert str(err.value) == "w: " + text
     with pytest.raises(ValueError) as err:
         Point(raw, 0)
@@ -277,6 +277,15 @@ def test_parse_shares_one_point_per_literal_pair():
     assert len(origin) == 3 and origin[0] is origin[1] is origin[2]
 
 
+def test_parse_shares_one_fraction_per_coordinate_literal():
+    # Equal literals in different pairs, and in x and y, give one Fraction.
+    omega = parse_family('{"version":"1","polytopes":[[["1/2","1/3"],["1/3","1/2"],["1/2","2"]]]}')
+    point = {(v.x, v.y): v for v in omega.members[0].vertices}
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a, b, c = point[half, third], point[third, half], point[half, 2]
+    assert a.x is c.x is b.y and a.y is b.x
+
+
 @pytest.mark.parametrize(
     "polytopes, message",
     [
@@ -289,11 +298,23 @@ def test_parse_shares_one_point_per_literal_pair():
             '[[["0","0"]],[["1/0","0"]],[["1/0","0"]]]',
             "polytope 1 vertex 0: zero denominator in '1/0'",
         ),
+        # A literal read into the memo is read no further on: it fails at
+        # the vertex where it first occurs, even when it recurs in other pairs.
+        (
+            '[[["0","0"]],[["1","1"],["2","0"],["1/0","3"],["1/0","4"]],[["1/0","0"]]]',
+            "polytope 1 vertex 2: zero denominator in '1/0'",
+        ),
+        (
+            '[[["0","0"]],[["1","1"],["2","0"],["4","abc"],["abc","3"]],[["abc","0"]]]',
+            "polytope 1 vertex 2: 'abc' is not an integer or p/q rational literal",
+        ),
         # A pair that is not two strings never reaches the memo, hashable or not.
         ('[[[["0"],"0"]]]', "polytope 0 vertex 0: coordinate must be a string, got list"),
         ('[[["0",["0"]]]]', "polytope 0 vertex 0: coordinate must be a string, got list"),
         ('[[[0,"0"]]]', "polytope 0 vertex 0: coordinate must be a string, got int"),
         ('[[["0","0"]],[[0,"0"]]]', "polytope 1 vertex 0: coordinate must be a string, got int"),
+        # The literal "1" is in the memo, yet the int 1 is still no string.
+        ('[[["1","2"],[1,"2"]]]', "polytope 0 vertex 1: coordinate must be a string, got int"),
         # x is read in full before y is looked at.
         (
             '[[["0.5",0]]]',
@@ -303,10 +324,13 @@ def test_parse_shares_one_point_per_literal_pair():
     ids=[
         "bad-literal",
         "zero-denominator",
+        "zero-denominator-recurring",
+        "bad-literal-recurring",
         "list-x",
         "list-y",
         "int-x",
         "int-x-after-hit",
+        "int-x-after-equal-string",
         "bad-x-before-int-y",
     ],
 )

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from demyanov import builtin_counterexample, demyanov_convert, render_svg
 from demyanov.converter import affine_image
-from demyanov.render import PALETTE, _fmt
+from demyanov.render import MARGIN, PALETTE, PANEL_SIZE, PER_ROW, _fixed_point
 
 from support import (
     coll,
@@ -83,14 +83,23 @@ def test_tie_examples_land_on_ties():
         assert any(map(is_half_up_tie, coordinates))
 
 
-@given(mixed_families(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9))))
-@example(coll(((Fraction(-3, 7), Fraction(5, 2)),)))  # a single point: the span is 0
-@example(coll(((Fraction(-1, 2), -3), (Fraction(5, 3), 1)), ((-2, 0), (1, Fraction(-1, 3)))))
-@example(coll(((0, -40), (1, 40)), ((Fraction(1, 3), 0), (Fraction(-2, 3), 1), (0, 2))))  # tall
-@example(coll(((-40, 0), (40, Fraction(1, 7))), ((Fraction(-5, 9), 0),)))  # wide
-@example(HALF_UP_TIES[0])
-@example(HALF_UP_TIES[1])
-@example(HALF_UP_TIES[2])
+RENDER_EXAMPLES = (
+    coll(((Fraction(-3, 7), Fraction(5, 2)),)),  # a single point: the span is 0
+    coll(((Fraction(-1, 2), -3), (Fraction(5, 3), 1)), ((-2, 0), (1, Fraction(-1, 3)))),
+    coll(((0, -40), (1, 40)), ((Fraction(1, 3), 0), (Fraction(-2, 3), 1), (0, 2))),  # tall
+    coll(((-40, 0), (40, Fraction(1, 7))), ((Fraction(-5, 9), 0),)),  # wide
+    *HALF_UP_TIES,
+)
+
+
+def render_families(test):
+    """Run the test on mixed rational families and on RENDER_EXAMPLES."""
+    for omega in reversed(RENDER_EXAMPLES):
+        test = example(omega)(test)
+    return given(mixed_families(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9))))(test)
+
+
+@render_families
 def test_render_matches_fraction_reference(omega):
     # The int route through the vertex lifts against the Fraction route
     # through the coordinates, and the panel layout is blind to a positive
@@ -101,18 +110,29 @@ def test_render_matches_fraction_reference(omega):
     assert render_svg(affine_image(omega, ((c, 0), (0, c)), t)) == svg
 
 
-def test_fmt_rounds_unreduced_pairs_half_up_in_either_sign():
-    for num in range(-300, 301):
-        expected = reference_fmt(Fraction(num, 20000))
+@render_families
+def test_canvas_offsets_lie_within_the_panel_margin(omega):
+    # render_svg rounds each vertex's offset inside its panel once and adds
+    # the panel origin to the whole part; that equals rounding the sum
+    # only because every offset is positive, here at least MARGIN.
+    for i, points in enumerate(reference_canvas_points(omega)):
+        panel_x, panel_y = (i % PER_ROW) * PANEL_SIZE, (i // PER_ROW) * PANEL_SIZE
+        for x, y in points:
+            assert MARGIN <= x - panel_x <= PANEL_SIZE - MARGIN
+            assert MARGIN <= y - panel_y <= PANEL_SIZE - MARGIN
+
+
+def test_fixed_point_rounds_unreduced_non_negative_pairs_half_up():
+    # Whole part plus an integer origin, then the ".dddd" text: the
+    # rounding of the value moved by that origin.
+    for num in range(301):
+        value = Fraction(num, 20000)
         for k in (1, 3, 10**30):
-            assert _fmt(num * k, 20000 * k) == expected
-    assert (_fmt(1, 20000), _fmt(-1, 20000), _fmt(3, 20000), _fmt(-3, 20000)) == (
-        "0.0001",
-        "-0.0001",
-        "0.0002",
-        "-0.0002",
-    )
-    assert _fmt(-1, 20001) == "0"
+            whole, frac = _fixed_point(num * k, 20000 * k)
+            for origin in (0, PANEL_SIZE, 2 * PANEL_SIZE):
+                assert f"{whole + origin}{frac}" == reference_fmt(value + origin)
+    assert (_fixed_point(1, 20000), _fixed_point(3, 20000)) == ((0, ".0001"), (0, ".0002"))
+    assert (_fixed_point(1, 20001), _fixed_point(320_000, 20_000)) == ((0, ""), (16, ""))
 
 
 def test_render_bytes_are_pinned():
@@ -129,3 +149,9 @@ def test_render_bytes_are_pinned():
     assert digest(omega) == "12cd7cbfb508bafb622e47471422225f13ea501de63829b8677eb7b3c0009a80"
     assert digest(similar) == "12cd7cbfb508bafb622e47471422225f13ea501de63829b8677eb7b3c0009a80"
     assert digest(sheared) == "f896199a3987632d00c9bcb5d3a6d66774660fd54f2a78a6aa646076e4f90843"
+    # The first iterate: 12 panels in 3 rows, so the panel origins move
+    # both coordinates. Its similar image draws the same bytes.
+    converted = demyanov_convert(omega)
+    similar = affine_image(converted, ((scale, 0), (0, scale)), (Fraction(1, 5), Fraction(-3, 7)))
+    assert digest(converted) == "2e9cbf7284a727ee88cef9e2f642a3abfd9459f428dee599d41500b42d736d49"
+    assert digest(similar) == "2e9cbf7284a727ee88cef9e2f642a3abfd9459f428dee599d41500b42d736d49"
