@@ -20,14 +20,16 @@ with each point's own size and cannot be blown up by the rest of the
 input.
 
 Each Point makes its lift, its hash (that of the Fraction pair) and a key
-for equality and lexicographic order once, when it is built, and its
-"x,y" text for digests once, when a digest first reads it. For each
-coordinate c = n/d the key holds the int (n << 32) // d = floor(c * 2^32),
-then c exactly: the int n where d = 1, else the Fraction. So only values
-within 2^-32 of each other, in practice equal ones, compare exactly. Each
-Polytope likewise stores the tuple of its vertices' keys once, which
-validation, equality and the ordering of collections read; its hash is
-that of its vertex tuple.
+for lexicographic order once, when it is built, and its "x,y" text for
+digests once, when a digest first reads it. For each coordinate c = n/d
+the key holds the int (n << 32) // d = floor(c * 2^32), then c exactly:
+the int n where d = 1, else the Fraction. So only values within 2^-32 of
+each other, in practice equal ones, compare exactly. Equality compares
+lifts instead, which are all ints and canonical per point, so it never
+reaches a Fraction. Each Polytope likewise stores the tuple of its
+vertices' keys once, which validation and the ordering of collections
+read; it equals another when their vertex tuples are equal, and its hash
+is that of its vertex tuple.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class Point:
     """A point of the plane with exact rational coordinates; its lift, its
     key (floor(x * 2^32), x, floor(y * 2^32), y) and its hash are made
     once; its "x,y" text (each coordinate as str(Fraction) prints it) is
-    made on first use by a digest and kept."""
+    made on first use by a digest and kept. The key orders points; ==
+    compares their lifts."""
 
     x: Fraction
     y: Fraction
@@ -99,7 +102,7 @@ class Point:
         object.__setattr__(self, "_hash", hash((ex, ey)))
 
     def __eq__(self, other):
-        return self._key == other._key if other.__class__ is Point else NotImplemented
+        return self._lift == other._lift if other.__class__ is Point else NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -146,33 +149,44 @@ def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
 
     Canonical order is counterclockwise starting at the lexicographically
     smallest vertex; collinear interior points and duplicates are dropped.
-    Both chains grow in one pass, turning strictly left and right; sorting
-    puts duplicates side by side, so the turn tests pop them too. Input of
-    exactly the class _Sorted is taken as its caller's promise that it
-    holds distinct points already in _sort_key order, and is not sorted
-    again; anything else, a _Canonical hull included, is sorted.
+    The chord from the first to the last point in key order splits the
+    rest: one sign puts each point right of it (lower chain), left of it
+    (upper chain) or on it, where it is never a vertex, duplicates of
+    either end included. Each chain runs the turn test on its own points
+    only, the lower one turning strictly left and the upper one strictly
+    right, and both close at the last point. Input of exactly the class
+    _Sorted is taken as its caller's promise that it holds distinct points
+    already in _sort_key order, and is not sorted again; anything else, a
+    _Canonical hull included, is sorted.
     """
     pts = points if points.__class__ is _Sorted else sorted(points, key=_sort_key)
     if not pts:
         raise EmptyInputError("convex hull of an empty point set")
-    if pts[0]._key == pts[-1]._key:
-        return _Canonical((pts[0],))
-    lower, upper = [], []
+    first, last = pts[0], pts[-1]
+    if first._lift == last._lift:
+        return _Canonical((first,))
+    # The chord's normal: the sign of r . (a x b) orients (first, last, r).
+    (ax, ay, aw), (bx, by, bw) = first._lift, last._lift
+    cx, cy, cw = ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx
+    lower, upper = [first], [first]
     for p in pts:
         rx, ry, rw = p._lift
-        while len(lower) > 1:
-            (px, py, pw), (qx, qy, qw) = lower[-2]._lift, lower[-1]._lift
-            if px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx) > 0:
-                break
-            lower.pop()
-        lower.append(p)
-        while len(upper) > 1:
-            (px, py, pw), (qx, qy, qw) = upper[-2]._lift, upper[-1]._lift
-            if px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx) < 0:
-                break
-            upper.pop()
-        upper.append(p)
-    # Both chains run from pts[0] to pts[-1]; the upper one, reversed, closes the cycle.
+        side = rx * cx + ry * cy + rw * cw
+        if side < 0 or p is last:
+            while len(lower) > 1:
+                (px, py, pw), (qx, qy, qw) = lower[-2]._lift, lower[-1]._lift
+                if px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx) > 0:
+                    break
+                lower.pop()
+            lower.append(p)
+        if side > 0 or p is last:
+            while len(upper) > 1:
+                (px, py, pw), (qx, qy, qw) = upper[-2]._lift, upper[-1]._lift
+                if px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx) < 0:
+                    break
+                upper.pop()
+            upper.append(p)
+    # Both chains run from first to last; the upper one, reversed, closes the cycle.
     return _Canonical(lower[:-1] + upper[:0:-1])
 
 
@@ -185,8 +199,9 @@ class Polytope:
     counterclockwise order starting at the lexicographically smallest
     vertex. convex_hull's output is taken as is; any other vertex tuple is
     accepted only if convex_hull would return it unchanged. So polytopes
-    are equal iff equal as point sets, and == compares their keys; the
-    hash is that of the vertex tuple.
+    are equal iff equal as point sets, and == compares their vertex
+    tuples, hence the vertices' lifts; the hash is that of the vertex
+    tuple.
     """
 
     vertices: tuple[Point, ...]
@@ -202,9 +217,6 @@ class Polytope:
             raise EmptyInputError("a polytope needs at least one vertex")
         if checked and tuple(map(_sort_key, _hull_vertices(verts))) != keys:
             raise ValueError("vertices are not in canonical convex position")
-
-    def __eq__(self, other):
-        return self._key == other._key if other.__class__ is Polytope else NotImplemented
 
     def __hash__(self) -> int:
         # Each vertex returns its stored hash. On CPython 3.11 this hashes

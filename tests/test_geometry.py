@@ -2,6 +2,7 @@ import time
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
+from itertools import cycle
 from math import gcd, lcm
 
 import pytest
@@ -181,6 +182,9 @@ key_points_st = st.builds(lambda x, y: Point(fresh(x), fresh(y)), key_values_st,
 @given(st.lists(key_points_st, min_size=1, max_size=8))
 @example([Point(Fraction(1, 2**40), 0), Point(0, 0), Point(Fraction(-1, 2**40), 0)])
 @example([Point(0, Fraction(2, 2**40)), Point(0, Fraction(1, 2**40))])
+# Lifts (1, 0, 2) and (1, 0, 1), (1, 2, 3) and (1, 2, 1): only W differs.
+@example([Point("1/2", 0), Point(1, 0)])
+@example([Point("1/3", "2/3"), Point(1, 2)])
 def test_point_key_orders_and_equates_as_the_fraction_pair(points):
     pairs = [(p.x, p.y) for p in points]
     assert [id(p) for p in sorted(points, key=_sort_key)] == [
@@ -276,6 +280,49 @@ def test_polytope_equality_is_vertex_equality(a, b):
     assert p != p.vertices
 
 
+def literal(value, form):
+    # The value as a fresh Fraction (form 0), as an unreduced p/q string
+    # (form 1) or as an int (form 2, where it is one).
+    if form == 1:
+        return f"{3 * value.numerator}/{3 * value.denominator}"
+    if form == 2 and value.denominator == 1:
+        return value.numerator
+    return fresh(value)
+
+
+def built_apart(pairs, forms):
+    return convex_hull(
+        [Point(literal(x, f), literal(y, g)) for (x, y), (f, g) in zip(pairs, cycle(forms))]
+    )
+
+
+def fraction_hull(pairs):
+    return [(v.x, v.y) for v in reference_hull_vertices([pt(x, y) for x, y in pairs])]
+
+
+value_pairs_st = st.lists(st.tuples(key_values_st, key_values_st), min_size=1, max_size=6)
+forms_st = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=6)
+_HALF, _THIRDS = (Fraction(1, 2), 0), (Fraction(1, 3), Fraction(2, 3))
+
+
+@given(value_pairs_st, st.none() | value_pairs_st, forms_st, forms_st)
+# Vertices whose lifts differ only in W: (1, 0, 2) and (1, 0, 1), (1, 2, 3)
+# and (1, 2, 1).
+@example([_HALF, (2, 1)], [(1, 0), (2, 1)], [(1, 2)], [(2, 2)])
+@example([_THIRDS, (2, 1)], [(1, 2), (2, 1)], [(0, 1)], [(2, 2)])
+@example([_THIRDS, _HALF, (2, 1)], None, [(0, 0)], [(1, 1), (2, 2)])
+def test_polytopes_built_apart_equate_as_their_fraction_hulls(a, b, forms_a, forms_b):
+    # Each polytope is hulled from its own Points, the coordinates written
+    # in different literal forms; b = None stands for a's values again.
+    b = a if b is None else b
+    p, q = built_apart(a, forms_a), built_apart(b, forms_b)
+    same = fraction_hull(a) == fraction_hull(b)
+    assert (p == q) is same
+    assert (p != q) is not same
+    if same:
+        assert hash(p) == hash(q)
+
+
 def test_direction_entry_points_reject_zero_and_non_int_pairs():
     omega, member = coll(*OMEGA0), poly(*P1)
     for entry, shape in [(converter_image, omega), (exposed_face, member), (support_value, member)]:
@@ -307,6 +354,32 @@ def test_polytope_accepts_exactly_the_hull_output(vertices):
         assert canonical
 
 
+_TINY_TURN = Fraction(1, 10**30)
+# Inputs that pin how the hull splits its points at the chord from the
+# first to the last point in key order:
+CHORD_INPUTS = [
+    # interior points exactly on the chord, and one off it on each side;
+    [pt(0, 0), pt(4, 2), pt(2, 1), pt("1/2", "1/4"), pt(3, 0), pt(1, 3), pt(3, "3/2")],
+    # every interior point right of the chord, or every one left of it,
+    # vertices and points inside the chain alike;
+    [pt(4, 0), pt(1, -1), pt(0, 0), pt(2, -3), pt(3, -1), pt(2, -1), pt(2, -2)],
+    [pt(4, 0), pt(1, 1), pt(0, 0), pt(2, 3), pt(3, 1), pt(2, 1), pt(2, 2)],
+    # a vertical chord: first and last share x, so every point is on it;
+    [pt(1, 3), pt(1, 0), pt(1, 2), pt(1, "1/2"), pt(1, 3)],
+    # turns of 10^-30 either way against the chord, and a point on it;
+    [pt(2, 0), pt(1, _TINY_TURN), pt(0, 0), pt(1, -_TINY_TURN), pt(1, 0)],
+    [pt(0, 0), pt(2, 2), pt(1, 1 + _TINY_TURN), pt(1, 1 - _TINY_TURN), pt("1/2", "1/2")],
+    # duplicates of the first and of the last point, unsorted.
+    [pt(3, 1), pt(0, 0), pt(1, 2), pt(3, 1), pt(0, 0), pt(2, -1), pt(0, 0), pt(3, 1)],
+]
+
+
+def chord_examples(test):
+    for points in CHORD_INPUTS:
+        test = example(points)(test)
+    return test
+
+
 @given(hull_inputs_st)
 # Every point equal, built in distinct forms: the hull is one point.
 @example([Point(Fraction(4, 2), 1), Point(2, "1")])
@@ -317,6 +390,8 @@ def test_polytope_accepts_exactly_the_hull_output(vertices):
 # Turns of 10^-30 either way, far below any float's resolution at 1.
 @example([pt(0, 0), pt(1, 0), pt(1, Fraction(1, 10**30))])
 @example([pt(0, 0), pt(1, 0), pt(1, -Fraction(1, 10**30)), pt(Fraction(1, 2), 0)])
+# The chord from the first to the last point in key order splits the rest.
+@chord_examples
 def test_convex_hull_matches_fraction_reference(points):
     hull = convex_hull(points)
     assert hull.vertices == reference_hull_vertices(points)
@@ -346,6 +421,7 @@ _NEAR = Fraction(1, 2**40)
 # only its exact tie-break puts (0, 3) before (2^-40, 1).
 @example([pt(_NEAR, 1), pt(0, 0), pt(-_NEAR, 2), pt(0, 3), pt(_NEAR, 1), pt(-_NEAR, -1)])
 @example(wide_denominator_points(40) * 2)
+@chord_examples
 def test_hull_of_marked_points_in_key_order_is_not_sorted_again(points):
     # _Sorted promises distinct points in key order, and the hull takes
     # them as they come: the result must be what any other order gives.

@@ -15,6 +15,7 @@ from demyanov import (
     render_svg,
     serialize_family,
 )
+from demyanov.converter import affine_image
 from demyanov.errors import EmptyInputError, ParseError
 from demyanov.familyio import _parse_rational
 from demyanov.geometry import _RATIONAL_RE
@@ -284,6 +285,18 @@ def test_parse_shares_one_fraction_per_coordinate_literal():
     half, third = Fraction(1, 2), Fraction(1, 3)
     a, b, c = point[half, third], point[third, half], point[half, 2]
     assert a.x is c.x is b.y and a.y is b.x
+
+
+def test_parsed_family_equals_its_source_without_fraction_compares(monkeypatch):
+    # The builtin under x -> (2/3)x + (1/5, -3/7): every coordinate is p/q,
+    # and parsing builds new Fractions and Points for them all. Equality
+    # compares the Points' integer lifts, never a Fraction.
+    omega = affine_image(builtin_counterexample(), (("2/3", 0), (0, "2/3")), ("1/5", "-3/7"))
+    calls = []
+    compare = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append(1) or compare(a, b))
+    assert parse_family(serialize_family(omega)) == omega
+    assert calls == []
 
 
 @pytest.mark.parametrize(
