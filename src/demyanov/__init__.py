@@ -26,7 +26,6 @@ from .dynamics import (
 from .errors import (
     CapExceededError,
     DemyanovError,
-    EmptyInputError,
     GenerationFailedError,
     ParseError,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "Collection",
     "CycleResult",
     "DemyanovError",
-    "EmptyInputError",
     "GenerationFailedError",
     "ParseError",
     "Point",

@@ -15,12 +15,7 @@ from .dynamics import (
     search_cycles,
     verify_claim,
 )
-from .errors import (
-    CapExceededError,
-    EmptyInputError,
-    GenerationFailedError,
-    ParseError,
-)
+from .errors import CapExceededError, GenerationFailedError, ParseError
 from .familyio import parse_family, serialize_family
 from .render import render_svg
 
@@ -196,7 +191,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return exc.code
     try:
         return args.handler(args)
-    except (ParseError, EmptyInputError, GenerationFailedError) as exc:
+    except (ParseError, GenerationFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except OSError as exc:

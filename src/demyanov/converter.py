@@ -47,7 +47,6 @@ from enum import Enum
 from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import EmptyInputError
 from .geometry import Point, Polytope, convex_hull
 from .geometry import _Canonical, _Sorted, _as_rational, _direction, _joined_text, _sort_key
 
@@ -69,7 +68,7 @@ class Collection:
         checked = self.members.__class__ is not _Canonical
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
-            raise EmptyInputError("a collection must contain at least one polytope")
+            raise ValueError("a collection must contain at least one polytope")
         if checked and Collection.of(self.members).members != self.members:
             raise ValueError("members must be sorted and deduplicated; use Collection.of")
 

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 
 class DemyanovError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class EmptyInputError(DemyanovError):
-    """An operation that needs at least one point or polytope got none."""
+    """Base class of the package's own exception types."""
 
 
 class CapExceededError(DemyanovError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from .converter import Collection
-from .errors import EmptyInputError, ParseError
+from .errors import ParseError
 from .geometry import Point, _as_rational, convex_hull
 
 FORMAT_VERSION = "1"
@@ -67,7 +67,7 @@ def parse_family(text: str) -> Collection:
     if not isinstance(polytopes, list):
         raise ParseError("'polytopes' must be a list of vertex lists")
     if not polytopes:
-        raise EmptyInputError("document contains no polytopes")
+        raise ParseError("document contains no polytopes")
     # The Point of each distinct literal pair parsed so far, and the
     # Fraction of each distinct coordinate literal. A pair with a non-string
     # coordinate gets the key None, which is never stored: its parse always

@@ -27,9 +27,9 @@ the int n where d = 1, else the Fraction. So only values within 2^-32 of
 each other, in practice equal ones, compare exactly. Equality compares
 lifts instead, which are all ints and canonical per point, so it never
 reaches a Fraction. Each Polytope likewise stores the tuple of its
-vertices' keys once, which validation and the ordering of collections
-read; it equals another when their vertex tuples are equal, and its hash
-is that of its vertex tuple.
+vertices' keys once, which the ordering of collections reads; validation
+compares vertex tuples instead. A Polytope equals another when their
+vertex tuples are equal, and the dataclass hashes that tuple.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from fractions import Fraction
 from math import gcd
 from operator import attrgetter, itemgetter
 from typing import Iterable
-
-from .errors import EmptyInputError
 
 _KEY_BITS = 32  # each key coordinate starts with floor(c * 2**_KEY_BITS)
 # The one grammar of coordinate literals, for Point strings and document
@@ -161,7 +159,7 @@ def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
     """
     pts = points if points.__class__ is _Sorted else sorted(points, key=_sort_key)
     if not pts:
-        raise EmptyInputError("convex hull of an empty point set")
+        raise ValueError("a polytope needs at least one vertex")
     first, last = pts[0], pts[-1]
     if first._lift == last._lift:
         return _Canonical((first,))
@@ -197,11 +195,11 @@ class Polytope:
     The vertex tuple holds exactly the extreme points: a single point, a
     segment with its endpoints in lexicographic order, or a polygon in
     counterclockwise order starting at the lexicographically smallest
-    vertex. convex_hull's output is taken as is; any other vertex tuple is
-    accepted only if convex_hull would return it unchanged. So polytopes
-    are equal iff equal as point sets, and == compares their vertex
-    tuples, hence the vertices' lifts; the hash is that of the vertex
-    tuple.
+    vertex. convex_hull's output is taken as is; any other vertex tuple,
+    an empty one included, is accepted only if convex_hull would return it
+    unchanged. So polytopes are equal iff equal as point sets, and ==
+    compares their vertex tuples, hence the vertices' lifts; the hash is
+    the dataclass's, of the vertex tuple.
     """
 
     vertices: tuple[Point, ...]
@@ -211,18 +209,10 @@ class Polytope:
         checked = self.vertices.__class__ is not _Canonical
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
-        keys = tuple(map(_sort_key, verts))
-        object.__setattr__(self, "_key", keys)
-        if not verts:
-            raise EmptyInputError("a polytope needs at least one vertex")
-        if checked and tuple(map(_sort_key, _hull_vertices(verts))) != keys:
+        object.__setattr__(self, "_key", tuple(map(_sort_key, verts)))
+        # The hull returns the caller's own points, so equal entries compare by identity.
+        if checked and _hull_vertices(verts) != verts:
             raise ValueError("vertices are not in canonical convex position")
-
-    def __hash__(self) -> int:
-        # Each vertex returns its stored hash. On CPython 3.11 this hashes
-        # as fast as the dataclass default and faster than collecting the
-        # stored hashes into a tuple first.
-        return hash(self.vertices)
 
 
 def convex_hull(points: Iterable[Point]) -> Polytope:

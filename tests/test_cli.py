@@ -163,6 +163,28 @@ def test_malformed_document_maps_to_data_exit_code(tmp_path, capsys, content):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        pytest.param(
+            '{"version":"1","polytopes":[]}',
+            "document contains no polytopes",
+            id="no-polytopes",
+        ),
+        pytest.param(
+            '{"version":"1","polytopes":[[]]}',
+            "polytope 0: vertex list must be a nonempty list",
+            id="empty-vertex-list",
+        ),
+    ],
+)
+def test_empty_document_maps_to_data_exit_code(tmp_path, capsys, content, message):
+    empty = tmp_path / "empty.json"
+    empty.write_text(content)
+    code, out, err = run(capsys, "convert", "--in", str(empty))
+    assert (code, out, err) == (EX_DATAERR, "", f"error: {message}\n")
+
+
 def test_verify_claim_failure_prints_verdict_and_exits_70(monkeypatch, capsys):
     verdict = ClaimVerdict((), (("holds", True), ("breaks", False)), 1, 2)
     monkeypatch.setattr("demyanov.cli.verify_claim", lambda: verdict)

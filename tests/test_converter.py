@@ -23,7 +23,6 @@ from demyanov.converter import (
     representative_bound,
     sampled_convert,
 )
-from demyanov.errors import EmptyInputError
 from demyanov.geometry import exposed_face
 
 from support import (
@@ -79,8 +78,11 @@ def test_collection_of_dedupes_and_sorts():
 
 
 def test_collection_rejects_empty_and_unsorted():
-    with pytest.raises(EmptyInputError):
+    empty = "^a collection must contain at least one polytope$"
+    with pytest.raises(ValueError, match=empty):
         Collection.of([])
+    with pytest.raises(ValueError, match=empty):
+        Collection(())
     a = poly((0, 0))
     b = poly((1, 1))
     with pytest.raises(ValueError):

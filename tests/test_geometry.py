@@ -10,7 +10,6 @@ from hypothesis import example, given, strategies as st
 
 from demyanov import Point, Polytope, converter_image, convex_hull, geometry
 from demyanov.converter import affine_image
-from demyanov.errors import EmptyInputError
 from demyanov.geometry import _joined_text, _sort_key, bounding_box, exposed_face, support_value
 
 from support import (
@@ -134,9 +133,9 @@ def test_convex_hull_duplicates_collapse_to_point():
 
 
 def test_convex_hull_empty_input_rejected():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="^a polytope needs at least one vertex$"):
         convex_hull([])
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="^a polytope needs at least one vertex$"):
         Polytope(())
 
 
@@ -251,7 +250,6 @@ def test_point_text_is_the_fraction_pair_text(x, y):
 def test_polytope_value_semantics():
     seg = Polytope((pt(0, 0), pt("1/2", 1)))
     assert seg == convex_hull([pt(Fraction(2, 4), 1), pt(0, 0), pt(Fraction(1, 4), "1/2")])
-    assert hash(seg) == hash(seg.vertices)
     assert repr(seg) == (
         "Polytope(vertices=(Point(x=Fraction(0, 1), y=Fraction(0, 1)), "
         "Point(x=Fraction(1, 2), y=Fraction(1, 1))))"

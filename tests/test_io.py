@@ -16,7 +16,7 @@ from demyanov import (
     serialize_family,
 )
 from demyanov.converter import affine_image
-from demyanov.errors import EmptyInputError, ParseError
+from demyanov.errors import ParseError
 from demyanov.familyio import _parse_rational
 from demyanov.geometry import _RATIONAL_RE
 
@@ -87,11 +87,6 @@ def test_malformed_json_reports_position():
     assert err.value.column is not None
 
 
-def test_parse_rejects_zero_polytopes():
-    with pytest.raises(EmptyInputError):
-        parse_family('{"version":"1","polytopes":[]}')
-
-
 @pytest.mark.parametrize(
     "doc",
     [
@@ -99,6 +94,7 @@ def test_parse_rejects_zero_polytopes():
         '{"polytopes":[[["0","0"]]]}',
         '{"version":"2","polytopes":[[["0","0"]]]}',
         '{"version":"1","polytopes":{}}',
+        '{"version":"1","polytopes":[]}',
         '{"version":"1","polytopes":[[]]}',
         '{"version":"1","polytopes":[[["0"]]]}',
         '{"version":"1","polytopes":[[["0","0","0"]]]}',

@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "Collection",
     "CycleResult",
     "DemyanovError",
-    "EmptyInputError",
     "GenerationFailedError",
     "ParseError",
     "Point",
