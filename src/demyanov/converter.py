@@ -51,15 +51,15 @@ from .geometry import Point, Polytope, convex_hull
 from .geometry import _Canonical, _Sorted, _as_rational, _direction, _joined_text, _sort_key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Collection:
     """A nonempty, deduplicated, canonically ordered family of polytopes.
 
     Members are sorted by their vertex tuples, so equal families compare
     and hash equal regardless of how they were assembled. Collection.of
-    builds that layout from arbitrary input and is taken as is; a member
-    tuple from any other caller is accepted only if Collection.of would
-    return it unchanged.
+    builds that layout from arbitrary input, keying members by their
+    vertices' keys as it sorts, and is taken as is; any other member
+    tuple is accepted only if Collection.of would return it unchanged.
     """
 
     members: tuple[Polytope, ...]
@@ -74,7 +74,7 @@ class Collection:
 
     @classmethod
     def of(cls, polytopes: Iterable[Polytope]) -> Collection:
-        return cls(_Canonical(sorted(set(polytopes), key=_sort_key)))
+        return cls(_Canonical(sorted(set(polytopes), key=lambda p: [*map(_sort_key, p.vertices)])))
 
     def __iter__(self) -> Iterator[Polytope]:
         return iter(self.members)

@@ -26,10 +26,10 @@ the key holds the int (n << 32) // d = floor(c * 2^32), then c exactly:
 the int n where d = 1, else the Fraction. So only values within 2^-32 of
 each other, in practice equal ones, compare exactly. Equality compares
 lifts instead, which are all ints and canonical per point, so it never
-reaches a Fraction. Each Polytope likewise stores the tuple of its
-vertices' keys once, which the ordering of collections reads; validation
-compares vertex tuples instead. A Polytope equals another when their
-vertex tuples are equal, and the dataclass hashes that tuple.
+reaches a Fraction. A Polytope holds only its vertex tuple: it equals
+another when their vertex tuples are equal, and the dataclass hashes that
+tuple. Collection.of builds each member's key from its vertices' keys
+when it sorts.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _direction(g) -> tuple[int, int]:
     return a, b
 
 
-# Lexicographic order of points, and of polytopes by their vertex keys.
+# Lexicographic order of points.
 _sort_key = attrgetter("_key")
 # The (floor(c * 2^32), c) parts of a point key for c = x and c = y.
 _x_part, _y_part = itemgetter(0, 1), itemgetter(2, 3)
@@ -188,7 +188,7 @@ def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
     return _Canonical(lower[:-1] + upper[:0:-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polytope:
     """Canonical V-representation of a convex polytope in the plane.
 
@@ -199,17 +199,16 @@ class Polytope:
     an empty one included, is accepted only if convex_hull would return it
     unchanged. So polytopes are equal iff equal as point sets, and ==
     compares their vertex tuples, hence the vertices' lifts; the hash is
-    the dataclass's, of the vertex tuple.
+    the dataclass's, of the vertex tuple, all it holds: Collection.of
+    builds member keys from the vertices when it sorts.
     """
 
     vertices: tuple[Point, ...]
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         checked = self.vertices.__class__ is not _Canonical
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_key", tuple(map(_sort_key, verts)))
         # The hull returns the caller's own points, so equal entries compare by identity.
         if checked and _hull_vertices(verts) != verts:
             raise ValueError("vertices are not in canonical convex position")

@@ -9,6 +9,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import demyanov as dm
 from demyanov import (
     Collection,
+    Point,
     collection_digest,
     convex_hull,
     converter_image,
@@ -105,6 +106,17 @@ member_pool_st = st.sampled_from(
 
 
 @given(st.lists(member_pool_st, min_size=1, max_size=5).map(tuple))
+# One rational first vertex, built apart for each member: a triangle, a
+# segment whose vertex tuple is the triangle's prefix, and the point alone.
+# The sort key's exact tie-break meets equal Fractions in distinct objects,
+# and a prefix sorts first.
+@example(
+    (
+        convex_hull([Point("1/2", "1/3"), pt(1, 0), pt(1, 1)]),
+        convex_hull([Point(Fraction(2, 4), Fraction(1, 3)), pt(1, 0)]),
+        convex_hull([Point("1/2", "1/3")]),
+    )
+)
 def test_collection_accepts_exactly_the_output_of_of(members):
     omega = Collection.of(members)
     assert type(omega.members) is tuple
