@@ -14,6 +14,7 @@ from .converter import (
     demyanov_convert,
 )
 from .dynamics import (
+    CapExceededError,
     ClaimVerdict,
     CycleResult,
     SearchReport,
@@ -22,12 +23,6 @@ from .dynamics import (
     random_family,
     search_cycles,
     verify_claim,
-)
-from .errors import (
-    CapExceededError,
-    DemyanovError,
-    GenerationFailedError,
-    ParseError,
 )
 from .familyio import parse_family, serialize_family
 from .geometry import Point, Polytope, convex_hull
@@ -40,9 +35,6 @@ __all__ = [
     "ClaimVerdict",
     "Collection",
     "CycleResult",
-    "DemyanovError",
-    "GenerationFailedError",
-    "ParseError",
     "Point",
     "Polytope",
     "SearchReport",

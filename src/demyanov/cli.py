@@ -10,12 +10,12 @@ from typing import Sequence
 from .converter import demyanov_convert
 from .dynamics import (
     DEFAULT_CAP,
+    CapExceededError,
     builtin_counterexample,
     iterate_until_cycle,
     search_cycles,
     verify_claim,
 )
-from .errors import CapExceededError, GenerationFailedError, ParseError
 from .familyio import parse_family, serialize_family
 from .render import render_svg
 
@@ -118,7 +118,7 @@ def _load_family(args):
     try:
         text = Path(args.infile).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{args.infile}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        raise ValueError(f"{args.infile}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     return parse_family(text)
 
 
@@ -191,7 +191,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return exc.code
     try:
         return args.handler(args)
-    except (ParseError, GenerationFailedError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except OSError as exc:

@@ -19,10 +19,21 @@ from .converter import (
     converter_image,
     demyanov_convert,
 )
-from .errors import CapExceededError, GenerationFailedError
 from .geometry import Point, convex_hull
 
 DEFAULT_CAP = 10_000
+
+
+class CapExceededError(Exception):
+    """No repeated collection appeared within the iteration cap."""
+
+    def __init__(self, cap: int, trajectory: tuple):
+        super().__init__(f"no cycle detected within {cap} iterations")
+        self.cap = cap
+        self.trajectory = trajectory
+
+    def __reduce__(self):
+        return self.__class__, (self.cap, self.trajectory)
 
 
 @dataclass(frozen=True)
@@ -140,8 +151,8 @@ def random_family(
     the integer square [-coord_bound, coord_bound]^2 with Python's Mersenne
     Twister, so equal seeds give equal families on every platform. Seeds
     are non-negative, since Random(-k) draws the same stream as Random(k).
-    Members that collide with earlier ones are redrawn; GenerationFailedError
-    is raised once the retry budget is spent (the parameter space is too
+    Members that collide with earlier ones are redrawn; ValueError is
+    raised once the retry budget is spent (the parameter space is too
     small to hold num_polytopes distinct members).
     """
     if num_polytopes < 1 or max_vertices < 1 or coord_bound < 0 or seed < 0:
@@ -149,18 +160,16 @@ def random_family(
     rng = random.Random(seed)
     budget = 64 * num_polytopes
     members: dict = {}
-    attempts = 0
-    while len(members) < num_polytopes:
-        if attempts >= budget:
-            raise GenerationFailedError(num_polytopes, attempts)
-        attempts += 1
+    for _ in range(budget):
         count = rng.randint(1, max_vertices)
         points = [
             Point(rng.randint(-coord_bound, coord_bound), rng.randint(-coord_bound, coord_bound))
             for _ in range(count)
         ]
         members.setdefault(convex_hull(points), None)
-    return Collection.of(members)
+        if len(members) == num_polytopes:
+            return Collection.of(members)
+    raise ValueError(f"could not generate {num_polytopes} distinct polytopes in {budget} attempts")
 
 
 @dataclass(frozen=True)

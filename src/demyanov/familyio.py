@@ -4,9 +4,10 @@ A family document is versioned JSON carrying one vertex list per
 polytope. Coordinates are strings, either an integer literal or "p/q",
 so arbitrary precision survives the trip; floats are rejected outright.
 
-Each coordinate is read by Point's own reader, geometry._as_rational, so
-documents and Point strings take the same literals and fail with the same
-texts. A document adds only that a coordinate must be a JSON string (a
+A malformed document raises ValueError, whose text says what was wrong and
+where. Each coordinate is read by Point's own reader, geometry._as_rational,
+so documents and Point strings take the same literals and fail with the
+same texts. A document adds only that a coordinate must be a JSON string (a
 Point also takes ints) and that each error names its vertex.
 
 Every iterate of the converter is spanned by vertices of the family it
@@ -26,7 +27,6 @@ from __future__ import annotations
 import json
 
 from .converter import Collection
-from .errors import ParseError
 from .geometry import Point, _as_rational, convex_hull
 
 FORMAT_VERSION = "1"
@@ -34,13 +34,13 @@ FORMAT_VERSION = "1"
 
 def _parse_rational(raw, where: str, literals: dict):
     if not isinstance(raw, str):
-        raise ParseError(f"{where}: coordinate must be a string, got {type(raw).__name__}")
+        raise ValueError(f"{where}: coordinate must be a string, got {type(raw).__name__}")
     value = literals.get(raw)
     if value is None:
         try:
             value = literals[raw] = _as_rational(raw)
         except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
     return value
 
 
@@ -53,21 +53,21 @@ def parse_family(text: str) -> Collection:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+        raise ValueError(f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
     except ValueError:
-        raise ParseError("invalid JSON: number literal exceeds the digit limit") from None
+        raise ValueError("invalid JSON: number literal exceeds the digit limit") from None
     except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply") from None
+        raise ValueError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
-        raise ParseError("document root must be an object")
+        raise ValueError("document root must be an object")
     version = doc.get("version")
     if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version: {version!r}")
+        raise ValueError(f"unsupported format version: {version!r}")
     polytopes = doc.get("polytopes")
     if not isinstance(polytopes, list):
-        raise ParseError("'polytopes' must be a list of vertex lists")
+        raise ValueError("'polytopes' must be a list of vertex lists")
     if not polytopes:
-        raise ParseError("document contains no polytopes")
+        raise ValueError("document contains no polytopes")
     # The Point of each distinct literal pair parsed so far, and the
     # Fraction of each distinct coordinate literal. A pair with a non-string
     # coordinate gets the key None, which is never stored: its parse always
@@ -77,11 +77,11 @@ def parse_family(text: str) -> Collection:
     members = []
     for i, vertex_list in enumerate(polytopes):
         if not isinstance(vertex_list, list) or not vertex_list:
-            raise ParseError(f"polytope {i}: vertex list must be a nonempty list")
+            raise ValueError(f"polytope {i}: vertex list must be a nonempty list")
         points = []
         for j, vertex in enumerate(vertex_list):
             if not isinstance(vertex, list) or len(vertex) != 2:
-                raise ParseError(f"polytope {i} vertex {j}: expected an [x, y] pair")
+                raise ValueError(f"polytope {i} vertex {j}: expected an [x, y] pair")
             x, y = vertex
             key = (x, y) if isinstance(x, str) and isinstance(y, str) else None
             point = seen.get(key)

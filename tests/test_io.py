@@ -16,7 +16,6 @@ from demyanov import (
     serialize_family,
 )
 from demyanov.converter import affine_image
-from demyanov.errors import ParseError
 from demyanov.familyio import _parse_rational
 from demyanov.geometry import _RATIONAL_RE
 
@@ -81,32 +80,40 @@ def test_parse_dedupes_members():
 
 
 def test_malformed_json_reports_position():
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValueError) as err:
         parse_family('{"version":"1",\n  "polytopes": [[[')
-    assert err.value.line is not None
-    assert err.value.column is not None
+    assert str(err.value) == "invalid JSON: Expecting value (line 2, column 19)"
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        "[]",
-        '{"polytopes":[[["0","0"]]]}',
-        '{"version":"2","polytopes":[[["0","0"]]]}',
-        '{"version":"1","polytopes":{}}',
-        '{"version":"1","polytopes":[]}',
-        '{"version":"1","polytopes":[[]]}',
-        '{"version":"1","polytopes":[[["0"]]]}',
-        '{"version":"1","polytopes":[[["0","0","0"]]]}',
-        '{"version":"1","polytopes":[[[0,"0"]]]}',
-        '{"version":"1","polytopes":[[["0.5","0"]]]}',
-        '{"version":"1","polytopes":[[["1/0","0"]]]}',
-        '{"version":"1","polytopes":[[["1e3","0"]]]}',
-    ],
-)
+# Each malformed document fails with its own exact text, so no stray
+# ValueError from inside the parser can pass for a document error.
+MALFORMED = {
+    "[]": "document root must be an object",
+    '{"polytopes":[[["0","0"]]]}': "unsupported format version: None",
+    '{"version":"2","polytopes":[[["0","0"]]]}': "unsupported format version: '2'",
+    '{"version":"1","polytopes":{}}': "'polytopes' must be a list of vertex lists",
+    '{"version":"1","polytopes":[]}': "document contains no polytopes",
+    '{"version":"1","polytopes":[[]]}': "polytope 0: vertex list must be a nonempty list",
+    '{"version":"1","polytopes":[[["0"]]]}': "polytope 0 vertex 0: expected an [x, y] pair",
+    '{"version":"1","polytopes":[[["0","0","0"]]]}': "polytope 0 vertex 0: expected an [x, y] pair",
+    '{"version":"1","polytopes":[[[0,"0"]]]}': (
+        "polytope 0 vertex 0: coordinate must be a string, got int"
+    ),
+    '{"version":"1","polytopes":[[["0.5","0"]]]}': (
+        "polytope 0 vertex 0: '0.5' is not an integer or p/q rational literal"
+    ),
+    '{"version":"1","polytopes":[[["1/0","0"]]]}': "polytope 0 vertex 0: zero denominator in '1/0'",
+    '{"version":"1","polytopes":[[["1e3","0"]]]}': (
+        "polytope 0 vertex 0: '1e3' is not an integer or p/q rational literal"
+    ),
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED)
 def test_parse_rejects_malformed_documents(doc):
-    with pytest.raises(ParseError):
+    with pytest.raises(ValueError) as err:
         parse_family(doc)
+    assert str(err.value) == MALFORMED[doc]
 
 
 def test_round_trip_preserves_fractions():
@@ -198,7 +205,7 @@ literals_st = st.builds(
 @example("1/" + "2" * (_LIMIT + 1))
 def test_parse_rational_agrees_with_fraction_literals(raw):
     # Either both routes give the same rational, or Fraction's own parser
-    # fails and the document parser reports the same cause as a ParseError.
+    # fails and the document parser reports the same cause, naming the vertex.
     # A Point string goes through the same reader: it gives the same value,
     # or a ValueError with the same text minus the vertex name.
     assert _RATIONAL_RE.match(raw)
@@ -212,7 +219,7 @@ def test_parse_rational_agrees_with_fraction_literals(raw):
         assert _parse_rational(raw, "w", {}) == expected
         assert Point(raw, 0).x == expected
         return
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValueError) as err:
         _parse_rational(raw, "w", {})
     assert str(err.value) == "w: " + text
     with pytest.raises(ValueError) as err:
@@ -221,7 +228,7 @@ def test_parse_rational_agrees_with_fraction_literals(raw):
 
 
 def test_parse_error_text_for_zero_denominator():
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValueError) as err:
         parse_family('{"version":"1","polytopes":[[["0","0"]],[["3","-4/00"]]]}')
     assert str(err.value) == "polytope 1 vertex 0: zero denominator in '-4/00'"
 
@@ -229,7 +236,7 @@ def test_parse_error_text_for_zero_denominator():
 @pytest.mark.skipif(not _DIGIT_LIMIT, reason="interpreter has no limit on integer digits")
 def test_parse_error_text_for_digit_limit():
     literal = "1/" + "9" * (_DIGIT_LIMIT + 1)
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValueError) as err:
         parse_family(json.dumps({"version": "1", "polytopes": [[["0", "0"], ["2", literal]]]}))
     assert str(err.value) == "polytope 0 vertex 1: literal exceeds the integer digit limit"
 
@@ -344,6 +351,6 @@ def test_parsed_family_equals_its_source_without_fraction_compares(monkeypatch):
     ],
 )
 def test_parse_error_text_names_first_bad_occurrence(polytopes, message):
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValueError) as err:
         parse_family('{"version":"1","polytopes":' + polytopes + "}")
     assert str(err.value) == message

@@ -1,3 +1,4 @@
+import builtins
 import importlib
 import re
 from pathlib import Path
@@ -11,9 +12,6 @@ PUBLIC_NAMES = [
     "ClaimVerdict",
     "Collection",
     "CycleResult",
-    "DemyanovError",
-    "GenerationFailedError",
-    "ParseError",
     "Point",
     "Polytope",
     "SearchReport",
@@ -68,3 +66,13 @@ def test_readme_names_resolve_where_it_places_them():
     assert required <= {name for name, _ in placed}
     for name, module in placed:
         assert hasattr(importlib.import_module(f"demyanov.{module}"), name), (module, name)
+
+
+def test_readme_error_names_exist():
+    # Every backticked name ending in "Error" is a builtin exception or a
+    # public attribute of the package, so a deleted error type cannot stay
+    # documented.
+    names = set(re.findall(r"`(\w+Error)`", README.read_text(encoding="utf-8")))
+    assert "CapExceededError" in names
+    for name in names:
+        assert hasattr(builtins, name) or hasattr(demyanov, name), name
