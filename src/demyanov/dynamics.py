@@ -42,7 +42,8 @@ class CycleResult:
 
     trajectory[preperiod + cycle_length] == trajectory[preperiod], all
     earlier entries are pairwise distinct, and for a deterministic map the
-    first repeat makes cycle_length minimal.
+    first repeat makes cycle_length minimal. The repeat is found by value;
+    canonical_hashes holds each state's digest, made once the orbit closed.
     """
 
     preperiod: int
@@ -54,32 +55,28 @@ class CycleResult:
 def iterate_until_cycle(start: Collection, cap: int = DEFAULT_CAP) -> CycleResult:
     """Apply the converter until the current collection equals an earlier one.
 
-    States are indexed by canonical digest, and digest hits are confirmed
-    by full comparison before a repeat is declared. Raises
-    CapExceededError, carrying the partial trajectory, if no repeat shows
-    up within cap applications.
+    States are keys of one dict from state to its first step, so a repeat
+    is found by the collections' own exact hash and equality, and the
+    dict's order is the trajectory. Each state is digested once the orbit
+    closes. Raises CapExceededError, carrying the partial trajectory, if
+    no repeat shows up within cap applications.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    trajectory = [start]
-    hashes = [collection_digest(start)]
-    seen: dict[str, list[int]] = {hashes[0]: [0]}
-    for _ in range(cap):
-        current = demyanov_convert(trajectory[-1])
-        digest = collection_digest(current)
-        trajectory.append(current)
-        hashes.append(digest)
-        for j in seen.get(digest, ()):
-            if trajectory[j] == current:
-                repeat_at = len(trajectory) - 1
-                return CycleResult(
-                    preperiod=j,
-                    cycle_length=repeat_at - j,
-                    trajectory=tuple(trajectory),
-                    canonical_hashes=tuple(hashes),
-                )
-        seen.setdefault(digest, []).append(len(trajectory) - 1)
-    raise CapExceededError(cap, tuple(trajectory))
+    seen = {start: 0}
+    current = start
+    for k in range(1, cap + 1):
+        current = demyanov_convert(current)
+        j = seen.setdefault(current, k)
+        if j < k:
+            trajectory = (*seen, current)
+            return CycleResult(
+                preperiod=j,
+                cycle_length=k - j,
+                trajectory=trajectory,
+                canonical_hashes=tuple(map(collection_digest, trajectory)),
+            )
+    raise CapExceededError(cap, tuple(seen))
 
 
 def builtin_counterexample() -> Collection:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -164,6 +165,37 @@ def test_cap_exceeded_carries_partial_trajectory():
         iterate_until_cycle(builtin_counterexample(), 0)
 
 
+# x -> (2/3)x + (1/5, -3/7): the builtin with p/q coordinates.
+RATIONAL_MAP = ((("2/3", 0), (0, "2/3")), ("1/5", "-3/7"))
+
+
+def test_repeat_is_found_without_reading_digests(monkeypatch):
+    # With every digest equal, the orbit's repeat and its states must not
+    # change: detection reads the states themselves, never their digests.
+    starts = [builtin_counterexample(), affine_image(builtin_counterexample(), *RATIONAL_MAP)]
+    starts += [random_family(3, 4, 3, seed) for seed in range(20)]
+    expected = [iterate_until_cycle(omega) for omega in starts]
+    monkeypatch.setattr("demyanov.dynamics.collection_digest", lambda omega: "0" * 64)
+    for omega, want in zip(starts, expected):
+        got = iterate_until_cycle(omega)
+        assert (got.preperiod, got.cycle_length) == (want.preperiod, want.cycle_length)
+        assert got.trajectory == want.trajectory
+
+
+def test_capped_orbit_makes_no_digest(monkeypatch):
+    def refuse(omega):
+        raise AssertionError("a capped orbit digested a state")
+
+    monkeypatch.setattr("demyanov.dynamics.collection_digest", refuse)
+    with pytest.raises(CapExceededError) as err:
+        iterate_until_cycle(builtin_counterexample(), cap=2)
+    omega0 = builtin_counterexample()
+    omega1 = demyanov_convert(omega0)
+    omega2 = demyanov_convert(omega1)
+    assert err.value.trajectory == (omega0, omega1, omega2)
+    assert len(set(err.value.trajectory)) == 3
+
+
 def test_verify_claim_passes_and_reports_witness():
     verdict = verify_claim()
     assert verdict.passed
@@ -270,3 +302,27 @@ def test_search_cycles_requires_params_or_source():
         search_cycles(None, 5, 100, base_seed=0)
     with pytest.raises(ValueError):
         search_cycles((1, 1, 1), 0, 100, base_seed=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**4), st.integers(1, 12), st.integers(1, 6))
+def test_search_report_is_the_tally_of_its_seeds(base_seed, num_instances, cap):
+    params = (3, 4, 3)
+    lengths = {}
+    for seed in range(base_seed, base_seed + num_instances):
+        try:
+            lengths[seed] = iterate_until_cycle(random_family(*params, seed), cap).cycle_length
+        except CapExceededError:
+            lengths[seed] = None
+    closed = [length for length in lengths.values() if length is not None]
+    report = search_cycles(params, num_instances, cap, base_seed)
+    assert report.instances_run == num_instances
+    assert report.histogram == tuple(sorted(Counter(closed).items()))
+    assert report.cap_exceeded == num_instances - len(closed)
+    if not closed:
+        assert (report.max_l_seed, report.max_l_witness) == (None, None)
+        return
+    # The first seed to reach the largest length is the witness, not a later tie.
+    first = next(seed for seed, length in lengths.items() if length == max(closed))
+    assert report.max_l_seed == first
+    assert report.max_l_witness == random_family(*params, first)
