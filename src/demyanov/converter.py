@@ -48,7 +48,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .geometry import Point, Polytope, convex_hull
-from .geometry import _Canonical, _Sorted, _as_rational, _direction, _joined_text, _sort_key
+from .geometry import _Canonical, _Sorted, _as_rational, _direction, _sort_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,6 +303,6 @@ def affine_image(omega: Collection, A, t=(0, 0)) -> Collection:
 
 def collection_digest(omega: Collection) -> str:
     """SHA-256 digest of the canonical form, equal for equal collections:
-    the members' vertex texts, each made once per Point and kept."""
-    token = ";".join(_joined_text(member.vertices) for member in omega.members)
+    the members' vertex texts, each made when its Point is built."""
+    token = ";".join("|".join([v._text for v in m.vertices]) for m in omega.members)
     return hashlib.sha256(token.encode("ascii")).hexdigest()

@@ -18,8 +18,8 @@ by identity), and builds each distinct [x, y] literal pair's Point once,
 at its first occurrence (which an error then names), for every later
 occurrence to share. Both memos live for one call. Each member is still
 hulled on its own and the members deduplicated once. serialize_family
-likewise formats each distinct vertex once and lists that text in every
-slot.
+lists each vertex's stored "x,y" text, which its Point made when it was
+built, so the document and the digest print coordinates by one rule.
 """
 
 from __future__ import annotations
@@ -98,11 +98,8 @@ def parse_family(text: str) -> Collection:
 def serialize_family(omega: Collection) -> str:
     """Canonical document text: sorted members, reduced rationals, fixed
     field order, byte-identical for equal collections."""
-    # Each distinct vertex's [x, y] text, keyed by its lift (canonical for its point).
-    distinct = {v._lift: v for member in omega.members for v in member.vertices}
-    texts = {lift: [str(v.x), str(v.y)] for lift, v in distinct.items()}
     doc = {
         "version": FORMAT_VERSION,
-        "polytopes": [[texts[v._lift] for v in member.vertices] for member in omega.members],
+        "polytopes": [[v._text.split(",") for v in m.vertices] for m in omega.members],
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"

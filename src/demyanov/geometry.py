@@ -19,12 +19,13 @@ lift is per point, never over a common denominator, so its cost grows
 with each point's own size and cannot be blown up by the rest of the
 input.
 
-Each Point makes its lift, its hash (that of the Fraction pair) and a key
-for lexicographic order once, when it is built, and its "x,y" text for
-digests once, when a digest first reads it. For each coordinate c = n/d
-the key holds the int (n << 32) // d = floor(c * 2^32), then c exactly:
-the int n where d = 1, else the Fraction. So only values within 2^-32 of
-each other, in practice equal ones, compare exactly. Equality compares
+Each Point makes its lift, its hash (that of the Fraction pair), a key
+for lexicographic order and its "x,y" text for digests and documents
+once, when it is built. For each coordinate c = n/d the key holds the
+int (n << 32) // d = floor(c * 2^32), then c exactly: the int n where
+d = 1, else the Fraction. So only values within 2^-32 of each other, in
+practice equal ones, compare exactly. The text prints those same exact
+parts, so a coordinate too long for str() fails the build. Equality compares
 lifts instead, which are all ints and canonical per point, so it never
 reaches a Fraction. A Polytope holds only its vertex tuple: it equals
 another when their vertex tuples are equal, and the dataclass hashes that
@@ -74,17 +75,16 @@ def _as_rational(value) -> Fraction:
 @dataclass(frozen=True, slots=True)
 class Point:
     """A point of the plane with exact rational coordinates; its lift, its
-    key (floor(x * 2^32), x, floor(y * 2^32), y) and its hash are made
-    once; its "x,y" text (each coordinate as str(Fraction) prints it) is
-    made on first use by a digest and kept. The key orders points; ==
-    compares their lifts."""
+    key (floor(x * 2^32), x, floor(y * 2^32), y), its hash and its "x,y"
+    text (each coordinate as str(Fraction) prints it) are made once, when
+    it is built. The key orders points; == compares their lifts."""
 
     x: Fraction
     y: Fraction
     _lift: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
-    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x, y = _as_rational(self.x), _as_rational(self.y)
@@ -98,23 +98,13 @@ class Point:
         key = ((xn << _KEY_BITS) // xd, ex, (yn << _KEY_BITS) // yd, ey)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash((ex, ey)))
+        object.__setattr__(self, "_text", "%s,%s" % (ex, ey))
 
     def __eq__(self, other):
         return self._lift == other._lift if other.__class__ is Point else NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
-
-
-def _make_text(p: Point) -> str:
-    object.__setattr__(p, "_text", "%s,%s" % p._key[1::2])
-    return p._text
-
-
-def _joined_text(points: Iterable[Point]) -> str:
-    # Each point's "x,y" text, joined by "|". Only digests read it, so a
-    # point makes its text on first use and keeps it.
-    return "|".join([p._text or _make_text(p) for p in points])
 
 
 def _direction(g) -> tuple[int, int]:

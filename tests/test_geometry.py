@@ -8,9 +8,18 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from demyanov import Point, Polytope, converter_image, convex_hull, geometry
+from demyanov import (
+    Collection,
+    Point,
+    Polytope,
+    collection_digest,
+    converter_image,
+    convex_hull,
+    geometry,
+    serialize_family,
+)
 from demyanov.converter import affine_image
-from demyanov.geometry import _joined_text, _sort_key, bounding_box, exposed_face, support_value
+from demyanov.geometry import _sort_key, bounding_box, exposed_face, support_value
 
 from support import (
     MIRROR,
@@ -234,13 +243,24 @@ def test_point_value_semantics():
 
 @pytest.mark.parametrize(
     "x, y",
-    [(2, -3), ("7", "-1/4"), (Fraction(6, 3), Fraction(-10, 5)), (Fraction(-3, 7), Fraction(-22, 6))],
+    [
+        (2, -3),
+        ("7", "-1/4"),
+        (Fraction(6, 3), Fraction(-10, 5)),
+        (Fraction(-3, 7), Fraction(-22, 6)),
+        ("-6/4", "10/15"),
+    ],
 )
 def test_point_text_is_the_fraction_pair_text(x, y):
+    # A Point is final once built: every slot, the text included, is set
+    # then, and a digest or a document reads the point without writing to it.
     p = Point(x, y)
-    text = "%s,%s" % (Fraction(x), Fraction(y))
-    assert _joined_text([p, p]) == text + "|" + text
-    assert p._text == text
+    slots = {name: getattr(p, name) for name in Point.__slots__}
+    assert slots["_text"] == "%s,%s" % (Fraction(x), Fraction(y))
+    omega = Collection.of([convex_hull([p]), convex_hull([p, Point(x, 9)])])
+    collection_digest(omega)
+    serialize_family(omega)
+    assert all(getattr(p, name) is value for name, value in slots.items())
     # The text neither shows in repr nor takes part in equality or hashing.
     assert repr(p) == "Point(x=%r, y=%r)" % (Fraction(x), Fraction(y))
     assert p == Point(Fraction(x), Fraction(y))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -10,6 +11,7 @@ from demyanov import (
     Collection,
     Point,
     builtin_counterexample,
+    collection_digest,
     convex_hull,
     parse_family,
     render_svg,
@@ -19,7 +21,7 @@ from demyanov.converter import affine_image
 from demyanov.familyio import _parse_rational
 from demyanov.geometry import _RATIONAL_RE
 
-from support import coll, mixed_families, poly, wide_denominator_points
+from support import affine_maps_st, coll, mixed_families, poly, wide_denominator_points
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -241,6 +243,23 @@ def test_parse_error_text_for_digit_limit():
     assert str(err.value) == "polytope 0 vertex 1: literal exceeds the integer digit limit"
 
 
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="interpreter has no limit on integer digits")
+def test_point_text_within_the_digit_limit():
+    # A Point prints its text when it is built, so a coordinate whose
+    # numerator or denominator str() cannot print fails there.
+    big = 10**_DIGIT_LIMIT
+    for x in big, Fraction(1, big):
+        with pytest.raises(ValueError):
+            Point(x, 0)
+    p = Point(big // 10, 0)
+    omega = Collection.of([convex_hull([p])])
+    assert len(collection_digest(omega)) == 64
+    assert parse_family(serialize_family(omega)) == omega
+    with pytest.raises(ValueError) as err:
+        Point("1" + "0" * _DIGIT_LIMIT, 0)
+    assert str(err.value) == "literal exceeds the integer digit limit"
+
+
 def equivalent_literal(data, c):
     # c written as (k n)/(k d), with leading zeros and, for zero, maybe "-0".
     k = data.draw(st.integers(1, 3))
@@ -266,6 +285,21 @@ def test_parse_is_invariant_under_equivalent_documents(omega, data):
         )
     polytopes = data.draw(st.permutations(polytopes))
     assert parse_family(json.dumps({"version": "1", "polytopes": polytopes})) == omega
+
+
+def document_digest(text):
+    # SHA-256 of the document's coordinates: "x,y" per vertex, "|" between
+    # vertices and ";" between members.
+    polytopes = json.loads(text)["polytopes"]
+    token = ";".join("|".join(",".join(xy) for xy in member) for member in polytopes)
+    return hashlib.sha256(token.encode("ascii")).hexdigest()
+
+
+@given(mixed_families(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))), affine_maps_st)
+def test_digest_hashes_the_document_coordinates(omega, phi):
+    # The digest and the document print each coordinate by one rule.
+    for family in omega, affine_image(omega, *phi):
+        assert collection_digest(family) == document_digest(serialize_family(family))
 
 
 def test_parse_shares_one_point_per_literal_pair():

@@ -2,9 +2,9 @@
 
 Point, Polytope and Collection are frozen slotted dataclasses, which restore
 their fields through the dataclass's own __getstate__ and __setstate__, and
-a Point restores its stored hash with them. CapExceededError rebuilds itself
-from its cap and trajectory. Only the standard library is used, so the round
-trips also run without pytest:
+a Point restores its stored hash and its text with them. CapExceededError
+rebuilds itself from its cap and trajectory. Only the standard library is
+used, so the round trips also run without pytest:
 
     PYTHONPATH=src python tests/test_pickle.py
 """
